@@ -32,9 +32,6 @@ class PipelineConfig:
     max_ray: int | None = None
     score_key: str = "mean"
     dump_links: bool = False
-    # Accepted for forward compatibility; only the defaults are implemented.
-    difference_order: int = 1
-    rate_basis: str = "path-index"
 
     def validate(self) -> None:
         if self.fmt != "auto" and self.fmt not in raster_io.FORMATS:
@@ -47,22 +44,30 @@ class PipelineConfig:
             raise ValueError(f"max_ray must be >= 1, got {self.max_ray}")
         if self.score_key not in ranking.SCORE_KEYS:
             raise ValueError(f"score_key must be one of {ranking.SCORE_KEYS}")
-        if self.difference_order != 1:
-            raise ValueError("only first differences are implemented")
-        if self.rate_basis != "path-index":
-            raise ValueError("only path-index rates are implemented")
         params.validate_stream(self.parameter)
 
 
 @dataclass
 class PipelineResult:
-    hierarchy: hac.Hierarchy | None
+    hierarchy: hac.Hierarchy
     candidates: list[ranking.RankedCandidate] = field(default_factory=list)
     f_significance: int = 0
     isol_count: int = 0
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineResult:
+@dataclass
+class _Analysis:
+    """What the stages shared by ``run`` and ``trace`` produce."""
+
+    store: links.LinkStore
+    hierarchy: hac.Hierarchy
+    by_id: dict[int, raster_io.Isol]
+    node_params: dict[int, params.NodeParams]
+    traces: list[termination.PathTrace]
+
+
+def _load(config: PipelineConfig) -> tuple[raster_io.LabeledRaster, list[raster_io.Isol]]:
+    """Validate the config, then read the raster and extract its regions."""
     config.validate()
     fmt = config.fmt
     if fmt == "auto":
@@ -70,32 +75,40 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             fmt = raster_io.sniff_format(fh.read(64))
     with open(config.input_path, "rb") as fh:
         raster = raster_io.load_raster(fh, fmt)
+    return raster, raster_io.extract_isols(raster)
 
-    isols = raster_io.extract_isols(raster)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    if not isols:
-        _write_empty_outputs(config, raster)
-        return PipelineResult(hierarchy=None)
 
+def _analyse(
+    config: PipelineConfig, raster: raster_io.LabeledRaster, isols: list[raster_io.Isol]
+) -> _Analysis:
+    """Link and agglomerate the regions, then trace every region's path."""
     store = links.cast_rays(raster, isols, max_ray=config.max_ray)
     hierarchy = hac.agglomerate(isols, store)
     by_id = raster_io.by_id(isols)
-    node_params = params.compute_params(hierarchy, store, by_id)
+    node_params = params.compute_params(hierarchy, by_id)
     stream = params.parameter_stream(hierarchy, node_params, config.parameter)
     traces = termination.trace_all(hierarchy, stream)
-    breaks = termination.count_breaks(hierarchy, traces, p=config.significance_p)
+    return _Analysis(store, hierarchy, by_id, node_params, traces)
+
+
+def run_pipeline(config: PipelineConfig) -> PipelineResult:
+    raster, isols = _load(config)
+    analysis = _analyse(config, raster, isols)
+    hierarchy, by_id = analysis.hierarchy, analysis.by_id
+    breaks = termination.count_breaks(hierarchy, analysis.traces, p=config.significance_p)
     trimmed = termination.trim(hierarchy, breaks)
     terminals = termination.filter_terminals(trimmed, hierarchy, config.min_group_size)
     candidates = ranking.rank_candidates(hierarchy, by_id, terminals, key=config.score_key)
 
-    _write_report(config, hierarchy, node_params, breaks, candidates)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    _write_report(config, hierarchy, breaks, candidates)
     _write_hierarchy(config, hierarchy)
     with open(config.out_dir / "params.csv", "w", newline="") as fh:
-        params.dump_params_csv(hierarchy, node_params, fh)
+        params.dump_params_csv(hierarchy, analysis.node_params, fh)
     trace_dir = config.out_dir / "traces"
     trace_dir.mkdir(exist_ok=True)
-    for trace in traces:
-        isol_id = _isol_of_singleton(isols, trace.start)
+    for trace in analysis.traces:
+        (isol_id,) = hierarchy.node(trace.start).members
         with open(trace_dir / f"{isol_id}.csv", "w", newline="") as fh:
             termination.dump_trace_csv(trace, fh)
     with open(config.out_dir / "histogram.csv", "w", newline="") as fh:
@@ -103,7 +116,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     _write_clusters(config, raster, hierarchy, by_id, candidates)
     if config.dump_links:
         with open(config.out_dir / "links.csv", "w", newline="") as fh:
-            links.dump_links_csv(store, fh)
+            links.dump_links_csv(analysis.store, fh)
 
     return PipelineResult(
         hierarchy=hierarchy,
@@ -111,10 +124,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         f_significance=breaks.significance,
         isol_count=len(isols),
     )
-
-
-def _isol_of_singleton(isols: list[raster_io.Isol], node_id: int) -> int:
-    return sorted(isol.id for isol in isols)[node_id]
 
 
 def _candidate_row(hierarchy: hac.Hierarchy, c: ranking.RankedCandidate, rank: int) -> dict:
@@ -134,7 +143,7 @@ def _candidate_row(hierarchy: hac.Hierarchy, c: ranking.RankedCandidate, rank: i
     }
 
 
-def _write_report(config, hierarchy, node_params, breaks, candidates) -> None:
+def _write_report(config, hierarchy, breaks, candidates) -> None:
     report = {
         "schema": REPORT_SCHEMA,
         "parameter": config.parameter,
@@ -166,28 +175,6 @@ def _write_clusters(config, raster, hierarchy, by_id, candidates) -> None:
     painted = raster_io.write_cluster_raster(raster, groups, by_id)
     with open(config.out_dir / "clusters.pgm", "wb") as fh:
         fh.write(raster_io.dump_pgm(painted))
-
-
-def _write_empty_outputs(config: PipelineConfig, raster: raster_io.LabeledRaster) -> None:
-    report = {
-        "schema": REPORT_SCHEMA,
-        "parameter": config.parameter,
-        "significance_p": config.significance_p,
-        "f_significance": 0,
-        "min_group_size": config.min_group_size,
-        "score_key": config.score_key,
-        "isol_count": 0,
-        "candidates": [],
-    }
-    _dump_json(config.out_dir / "report.json", report)
-    _dump_json(config.out_dir / "hierarchy.json", {"schema": REPORT_SCHEMA, "nodes": []})
-    (config.out_dir / "params.csv").write_text(
-        "node_id,merge_iteration,a_merge,l_hat,lw_ratio,n_pix,n_edge,a_cumulative\n"
-    )
-    (config.out_dir / "traces").mkdir(exist_ok=True)
-    (config.out_dir / "histogram.csv").write_text("count_value,num_nodes\n")
-    with open(config.out_dir / "clusters.pgm", "wb") as fh:
-        fh.write(raster_io.dump_pgm(raster_io.write_cluster_raster(raster, [], {})))
 
 
 def _dump_json(path: Path, payload: dict) -> None:
@@ -258,22 +245,17 @@ def run(input_path, fmt, param, significance_p, min_size, max_ray, score_key,
               help="Id of the region whose merge path to trace.")
 def trace(input_path, fmt, param, max_ray, isol_id) -> None:
     """Print one region's merge-path trace as CSV on stdout."""
+    # trace writes no files, so the output directory is never used.
+    config = PipelineConfig(
+        input_path=input_path, out_dir=Path(), fmt=fmt, parameter=param, max_ray=max_ray
+    )
     try:
-        if fmt == "auto":
-            with open(input_path, "rb") as fh:
-                fmt = raster_io.sniff_format(fh.read(64))
-        with open(input_path, "rb") as fh:
-            raster = raster_io.load_raster(fh, fmt)
-        isols = raster_io.extract_isols(raster)
-        ids = sorted(isol.id for isol in isols)
-        if isol_id not in ids:
+        raster, isols = _load(config)
+        if isol_id not in {isol.id for isol in isols}:
             raise ValueError(f"no region with id {isol_id}")
-        store = links.cast_rays(raster, isols, max_ray=max_ray)
-        hierarchy = hac.agglomerate(isols, store)
-        node_params = params.compute_params(hierarchy, store, raster_io.by_id(isols))
-        stream = params.parameter_stream(hierarchy, node_params, param)
-        path_trace = termination.trace_path(hierarchy, stream, ids.index(isol_id))
-        termination.dump_trace_csv(path_trace, sys.stdout)
+        analysis = _analyse(config, raster, isols)
+        start = analysis.hierarchy.singleton_node_id(isol_id)
+        termination.dump_trace_csv(analysis.traces[start], sys.stdout)
     except (FileNotFoundError, raster_io.RasterFormatError, ValueError) as exc:
         _fail(str(exc))
 

@@ -3,9 +3,14 @@
 Groups start as singletons and the closest two active groups merge until
 nothing connective is left, producing a binary merge forest.  Group-to-group
 distance is the size of the union of all link-pixel sets between their
-members, so it is not additive and the merge heights need not grow
-monotonically; distances are therefore maintained as incremental pixel-set
-unions per active pair rather than by any height-update shortcut.
+members, so it is not additive and is maintained as an incremental
+pixel-set union per active pair.  The linkage is reducible, because
+U(A+B, C) = U(A, C) | U(B, C) is at least as large as either part, so the
+merge heights never decrease along the merge order.
+
+Each merge node also records the link quantities its parameters are read
+from: the link count and summed link length across the merged pair, and
+the cumulative link area of every merge in its subtree.
 
 Node ids: the M singletons take 0..M-1 in ascending segment-id order, the
 merge of iteration i (counted from 1) takes M-1+i.
@@ -26,6 +31,10 @@ class HierarchyNode:
 
     ``ancestors`` are the two merged-from nodes (empty for singletons);
     ``successor`` is the merge this node later disappears into, if any.
+    Merge nodes carry, over the links between their two ancestors, the
+    distinct pixel count (``merge_distance``), the link count and the
+    summed link length; ``a_cumulative`` counts the distinct link pixels
+    of this merge and every merge below it.
     """
 
     id: int
@@ -34,6 +43,9 @@ class HierarchyNode:
     successor: int | None = None
     merge_iteration: int | None = None
     merge_distance: int | None = None
+    link_count: int | None = None
+    length_sum: int | None = None
+    a_cumulative: int | None = None
 
     @property
     def is_singleton(self) -> bool:
@@ -146,12 +158,17 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     min_member: dict[int, int] = {idx: min(m) for idx, m in members.items()}
 
     # Active-pair link-pixel unions; an entry existing means "linked", so a
-    # touching pair keeps its (empty) entry and distance 0.
+    # touching pair keeps its (empty) entry and distance 0.  The pair's
+    # (link count, length sum) lives apart, off the hot min() scan.
     pair_pixels: dict[tuple[int, int], set[PixelCoord]] = {}
+    pair_stats: dict[tuple[int, int], tuple[int, int]] = {}
     for a, b in store.pairs():
         key = (singleton_ids[a], singleton_ids[b])
         key = key if key[0] < key[1] else (key[1], key[0])
         pair_pixels[key] = set(store.pair_union(a, b))
+        pair_stats[key] = store.link_stats(a, b)
+    # Link pixels of every merge below each active group.
+    cumulative: dict[int, set[PixelCoord]] = {n.id: set() for n in nodes}
 
     def tie_key(key: tuple[int, int]) -> tuple[int, int]:
         lo, hi = min_member[key[0]], min_member[key[1]]
@@ -163,30 +180,46 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
         best = min(pair_pixels, key=lambda k: (len(pair_pixels[k]), tie_key(k)))
         left, right = best
         new_id = n_singletons - 1 + iteration
+        merge_pixels = pair_pixels.pop(best)
+        link_count, length_sum = pair_stats.pop(best)
+        covered, smaller = cumulative.pop(left), cumulative.pop(right)
+        if len(covered) < len(smaller):
+            covered, smaller = smaller, covered
+        covered |= smaller
+        covered |= merge_pixels
+        cumulative[new_id] = covered
         merged = HierarchyNode(
             id=new_id,
             members=members[left] | members[right],
             ancestors=best,
             merge_iteration=iteration,
-            merge_distance=len(pair_pixels[best]),
+            merge_distance=len(merge_pixels),
+            link_count=link_count,
+            length_sum=length_sum,
+            a_cumulative=len(covered),
         )
         nodes[left].successor = new_id
         nodes[right].successor = new_id
         nodes.append(merged)
 
-        del pair_pixels[best]
         inherited: dict[int, set[PixelCoord]] = {}
+        inherited_stats: dict[int, tuple[int, int]] = {}
         for key in list(pair_pixels):
             if left in key or right in key:
                 other = key[1] if key[0] in (left, right) else key[0]
                 pixels = pair_pixels.pop(key)
+                count, total = pair_stats.pop(key)
                 if other in inherited:
                     inherited[other] |= pixels
+                    kept_count, kept_total = inherited_stats[other]
+                    inherited_stats[other] = (kept_count + count, kept_total + total)
                 else:
                     inherited[other] = pixels
+                    inherited_stats[other] = (count, total)
         for other, pixels in inherited.items():
             key = (other, new_id) if other < new_id else (new_id, other)
             pair_pixels[key] = pixels
+            pair_stats[key] = inherited_stats[other]
 
         del members[left], members[right], min_member[left], min_member[right]
         members[new_id] = merged.members

@@ -1,6 +1,6 @@
 """Per-node geometric parameters of a merge forest.
 
-Each merge node gets, besides plain member-size sums, three quantities
+Each merge node gets, besides plain member-size sums, four quantities
 describing the interstitial ground it bridged:
 
 * ``a_merge``        distinct link pixels between the two merged groups,
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
 from .hac import Hierarchy
-from .links import LinkStore
-from .raster_io import Isol, PixelCoord
+from .raster_io import Isol
 
 
 @dataclass(frozen=True)
@@ -44,54 +43,34 @@ RATIO_FIELDS = ("a_merge", "l_hat", "lw_ratio", "n_pix", "n_edge", "a_cumulative
 
 
 def compute_params(
-    hierarchy: Hierarchy, store: LinkStore, isols: Sequence[Isol] | Mapping[int, Isol]
+    hierarchy: Hierarchy, isols: Sequence[Isol] | Mapping[int, Isol]
 ) -> dict[int, NodeParams]:
     """Compute parameters for every node, keyed by node id.
 
-    Cross-pair links for a merge are re-read from the store; cumulative
-    pixel sets are built bottom-up and dropped once their single successor
-    has consumed them, keeping peak memory at one frontier of sets.
+    The link quantities of each merge were recorded on its node by
+    ``agglomerate``; here they are only combined, and the member sizes
+    summed bottom-up.
     """
     isol_map = isols if isinstance(isols, Mapping) else {i.id: i for i in isols}
     out: dict[int, NodeParams] = {}
-    cum: dict[int, frozenset[PixelCoord] | set[PixelCoord]] = {}
 
     for node in hierarchy.nodes():
         if node.is_singleton:
             (isol_id,) = node.members
             isol = isol_map[isol_id]
             out[node.id] = NodeParams(n_pix=len(isol.pixels), n_edge=len(isol.edge_pixels))
-            cum[node.id] = frozenset()
             continue
 
         left, right = node.ancestors
-        left_members = sorted(hierarchy.node(left).members)
-        right_members = sorted(hierarchy.node(right).members)
-        merge_pixels: set[PixelCoord] = set()
-        link_count = 0
-        length_sum = 0
-        for a in left_members:
-            for b in right_members:
-                count, total = store.link_stats(a, b)
-                if count:
-                    merge_pixels |= store.pair_union(a, b)
-                    link_count += count
-                    length_sum += total
-
-        a_merge = len(merge_pixels)
-        l_hat = length_sum / link_count if link_count else 0.0
-        lw_ratio = (l_hat * l_hat) / a_merge if a_merge > 0 else 0.0
-
-        cum_set = set(cum.pop(left)) | cum.pop(right) | merge_pixels
-        cum[node.id] = cum_set
-
+        a_merge = node.merge_distance
+        l_hat = node.length_sum / node.link_count
         out[node.id] = NodeParams(
             n_pix=out[left].n_pix + out[right].n_pix,
             n_edge=out[left].n_edge + out[right].n_edge,
             a_merge=a_merge,
             l_hat=l_hat,
-            lw_ratio=lw_ratio,
-            a_cumulative=len(cum_set),
+            lw_ratio=(l_hat * l_hat) / a_merge if a_merge > 0 else 0.0,
+            a_cumulative=node.a_cumulative,
         )
     return out
 

@@ -10,10 +10,6 @@ Counting breaks over all paths gives a per-node histogram; nodes whose
 count sits in the upper tail (fraction above the threshold at most p) are
 nullified together with everything they later merge into.  What survives
 with no surviving successor is reported as a candidate group.
-
-Only first differences over path positions are implemented.  The config
-hooks for higher difference orders and for iteration-denominated rates
-exist but reject any non-default value.
 """
 
 from __future__ import annotations

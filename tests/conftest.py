@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import strategies as st
 
 from crownmerge import (
     Hierarchy,
@@ -34,12 +35,27 @@ class SceneBundle:
     hierarchy: Hierarchy
 
 
-def build_bundle(raster: LabeledRaster, scene: SynthScene | None = None) -> SceneBundle:
+def build_bundle(
+    raster: LabeledRaster, scene: SynthScene | None = None, max_ray: int | None = None
+) -> SceneBundle:
     isols = extract_isols(raster)
-    store = cast_rays(raster, isols)
+    store = cast_rays(raster, isols, max_ray=max_ray)
     return SceneBundle(
         scene=scene, isols=isols, store=store, hierarchy=agglomerate(isols, store)
     )
+
+
+#: Random scenes of 1..20 blobs on 20..40 px squares, with rays unlimited
+#: or capped at 1..6 pixels so that short caps drop some links.
+random_bundles = st.builds(
+    lambda seed, n_isols, size, max_ray: build_bundle(
+        generate_random(seed, n_isols=n_isols, size=size).raster, max_ray=max_ray
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_isols=st.integers(min_value=1, max_value=20),
+    size=st.integers(min_value=20, max_value=40),
+    max_ray=st.none() | st.integers(min_value=1, max_value=6),
+)
 
 
 @pytest.fixture(scope="session")

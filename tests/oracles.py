@@ -84,6 +84,24 @@ def strict_record_breakpoints(raw_values) -> set[int]:
     return {j for j in range(1, len(d)) if d[j] > max(d[:j])}
 
 
+def brute_force_merge_params(
+    hierarchy: Hierarchy, store: LinkStore, node_id: int
+) -> tuple[int, int, int]:
+    """(a_merge, link count, length sum) of a merge node, rescanning every
+    left x right member pair's raw links."""
+    left, right = hierarchy.node(node_id).ancestors
+    pixels: set = set()
+    count = 0
+    total = 0
+    for a in hierarchy.node(left).members:
+        for b in hierarchy.node(right).members:
+            for link in store.links_between(a, b):
+                pixels.update(link.interstitial)
+                count += 1
+                total += len(link.interstitial)
+    return len(pixels), count, total
+
+
 def brute_force_a_cumulative(hierarchy: Hierarchy, store: LinkStore, node_id: int) -> int:
     """Pixel union over the cross links of every merge in the subtree."""
     pixels: set = set()

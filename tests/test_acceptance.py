@@ -88,7 +88,7 @@ def test_criterion_2_merge_sequence_oracle(corpus):
 
 def test_criterion_3_breakpoint_oracle(corpus):
     for bundle in corpus:
-        params = compute_params(bundle.hierarchy, bundle.store, bundle.isols)
+        params = compute_params(bundle.hierarchy, bundle.isols)
         for choice in ("a_merge", "lw_over_acum"):
             stream = parameter_stream(bundle.hierarchy, params, choice)
             for trace in trace_all(bundle.hierarchy, stream):
@@ -148,7 +148,7 @@ def test_criterion_4_invariants(corpus):
             assert len(h) == 2 * m - 1
 
         # Merge-parameter invariants, including the subtree recomputation.
-        params = compute_params(h, store, bundle.isols)
+        params = compute_params(h, bundle.isols)
         for node_id in h.merge_node_ids():
             p = params[node_id]
             assert p.a_merge <= p.a_cumulative

@@ -82,14 +82,17 @@ def test_run_pipeline_empty_scene(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("0 0\n0 0\n")
     out = tmp_path / "out"
-    result = run_pipeline(PipelineConfig(input_path=path, out_dir=out))
-    assert result.hierarchy is None
+    result = run_pipeline(PipelineConfig(input_path=path, out_dir=out, dump_links=True))
+    assert len(result.hierarchy) == 0
     assert result.isol_count == 0
     report = json.loads((out / "report.json").read_text())
     assert report["isol_count"] == 0
     assert report["candidates"] == []
     assert json.loads((out / "hierarchy.json").read_text())["nodes"] == []
     assert (out / "params.csv").read_text().startswith("node_id,")
+    assert (out / "links.csv").read_text() == (
+        "origin_isol,target_isol,direction,origin_x,origin_y,length\n"
+    )
     with open(out / "clusters.pgm", "rb") as fh:
         painted = load_raster(fh, "pgm")
     assert np.array_equal(painted.labels, np.zeros((2, 2), dtype=np.int64))
@@ -122,10 +125,6 @@ def test_config_validation(tmp_path):
         config(max_ray=0).validate()
     with pytest.raises(ValueError, match="score_key"):
         config(score_key="max").validate()
-    with pytest.raises(ValueError, match="first differences"):
-        config(difference_order=2).validate()
-    with pytest.raises(ValueError, match="path-index"):
-        config(rate_basis="iteration").validate()
     with pytest.raises(ValueError, match="unknown parameter stream"):
         config(parameter="girth").validate()
 
@@ -183,6 +182,17 @@ def test_trace_command_unknown_segment(tmp_path):
     result = CliRunner().invoke(main, ["trace", "--input", str(path), "--isol", "9"])
     assert result.exit_code == 2
     assert "no region with id 9" in result.stderr
+
+
+@pytest.mark.parametrize("max_ray", ["0", "-5"])
+def test_trace_command_rejects_bad_max_ray(tmp_path, max_ray):
+    path = write_quad(tmp_path)
+    result = CliRunner().invoke(
+        main, ["trace", "--input", str(path), "--isol", "1", "--max-ray", max_ray]
+    )
+    assert result.exit_code == 2
+    assert "max_ray must be >= 1" in result.stderr
+    assert result.stdout == ""
 
 
 def test_synth_command_ring(tmp_path):

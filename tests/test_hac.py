@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from crownmerge import (
     Hierarchy,
@@ -13,7 +14,7 @@ from crownmerge import (
     hierarchy_records,
 )
 
-from conftest import build_bundle
+from conftest import build_bundle, random_bundles
 
 
 # The quad scene merges:  iteration 1 joins {1} and {4} (distance 2, the
@@ -152,3 +153,11 @@ def test_unknown_node_id_rejected(quad):
         quad.hierarchy.node(99)
     with pytest.raises(ValueError, match="no singleton"):
         quad.hierarchy.singleton_node_id(42)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_bundles)
+def test_merge_distance_never_decreases(bundle):
+    h = bundle.hierarchy
+    heights = [h.node(node_id).merge_distance for node_id in h.merge_node_ids()]
+    assert heights == sorted(heights)

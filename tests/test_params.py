@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings
 
 from crownmerge import (
     LabeledRaster,
@@ -16,12 +17,14 @@ from crownmerge import (
 )
 from crownmerge.params import dump_params_csv
 
-from conftest import build_bundle
+from conftest import build_bundle, random_bundles
+
+import oracles
 
 
 @pytest.fixture(scope="module")
 def quad_params(quad):
-    return compute_params(quad.hierarchy, quad.store, quad.isols)
+    return compute_params(quad.hierarchy, quad.isols)
 
 
 def test_singletons_carry_size_sums_only(quad, quad_params):
@@ -81,7 +84,7 @@ def test_merge_area_bounded_by_cumulative(quad_params):
 
 
 def test_compute_params_accepts_mapping(quad, quad_params):
-    again = compute_params(quad.hierarchy, quad.store, by_id(quad.isols))
+    again = compute_params(quad.hierarchy, by_id(quad.isols))
     assert again == quad_params
 
 
@@ -90,7 +93,7 @@ def test_long_thin_corridor_ratios():
     # and the area coincide, so lw_ratio is 4 and its cumulative-relative
     # variant is exactly 1.
     bundle = build_bundle(LabeledRaster.from_array([[1, 0, 0, 0, 0, 2]]))
-    params = compute_params(bundle.hierarchy, bundle.store, bundle.isols)
+    params = compute_params(bundle.hierarchy, bundle.isols)
     p = params[2]
     assert p.a_merge == 4
     assert p.l_hat == 4.0
@@ -102,7 +105,7 @@ def test_long_thin_corridor_ratios():
 
 def test_touching_merge_has_zero_area_and_zero_ratios():
     bundle = build_bundle(LabeledRaster.from_array([[1, 2]]))
-    params = compute_params(bundle.hierarchy, bundle.store, bundle.isols)
+    params = compute_params(bundle.hierarchy, bundle.isols)
     p = params[2]
     assert p.a_merge == 0
     assert p.l_hat == 0.0
@@ -111,6 +114,23 @@ def test_touching_merge_has_zero_area_and_zero_ratios():
     # Both ratio streams guard their zero denominators.
     assert parameter_stream(bundle.hierarchy, params, "lw_over_acum") == {2: 0.0}
     assert parameter_stream(bundle.hierarchy, params, "ratio:l_hat/a_merge") == {2: 0.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_bundles)
+def test_merge_params_match_brute_force_oracle(bundle):
+    h, store = bundle.hierarchy, bundle.store
+    params = compute_params(h, bundle.isols)
+    for node_id in h.merge_node_ids():
+        a_merge, link_count, length_sum = oracles.brute_force_merge_params(
+            h, store, node_id
+        )
+        l_hat = length_sum / link_count
+        p = params[node_id]
+        assert p.a_merge == a_merge == h.node(node_id).merge_distance
+        assert p.l_hat == l_hat
+        assert p.lw_ratio == (l_hat * l_hat / a_merge if a_merge else 0.0)
+        assert p.a_cumulative == oracles.brute_force_a_cumulative(h, store, node_id)
 
 
 # ---------------------------------------------------------------------------

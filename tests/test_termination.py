@@ -27,7 +27,7 @@ from conftest import build_bundle
 
 @pytest.fixture(scope="module")
 def quad_stream(quad):
-    params = compute_params(quad.hierarchy, quad.store, quad.isols)
+    params = compute_params(quad.hierarchy, quad.isols)
     return parameter_stream(quad.hierarchy, params, "a_merge")
 
 
@@ -91,7 +91,7 @@ def test_trace_all_covers_singletons_in_order(quad, quad_stream):
 
 def test_flat_stream_yields_no_breaks():
     bundle = build_bundle(LabeledRaster.from_array([[1, 2]]))
-    params = compute_params(bundle.hierarchy, bundle.store, bundle.isols)
+    params = compute_params(bundle.hierarchy, bundle.isols)
     stream = parameter_stream(bundle.hierarchy, params, "a_merge")
     trace = trace_path(bundle.hierarchy, stream, 0)
     assert trace.f == (0.0, 0.0)
