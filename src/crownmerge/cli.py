@@ -227,7 +227,7 @@ def run(input_path, fmt, param, significance_p, min_size, max_ray, score_key,
     )
     try:
         result = run_pipeline(config)
-    except (FileNotFoundError, raster_io.RasterFormatError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(str(exc))
     click.echo(
         f"{result.isol_count} regions, {len(result.candidates)} candidates, "
@@ -256,7 +256,7 @@ def trace(input_path, fmt, param, max_ray, isol_id) -> None:
         analysis = _analyse(config, raster, isols)
         start = analysis.hierarchy.singleton_node_id(isol_id)
         termination.dump_trace_csv(analysis.traces[start], sys.stdout)
-    except (FileNotFoundError, raster_io.RasterFormatError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(str(exc))
 
 

@@ -3,10 +3,16 @@
 Groups start as singletons and the closest two active groups merge until
 nothing connective is left, producing a binary merge forest.  Group-to-group
 distance is the size of the union of all link-pixel sets between their
-members, so it is not additive and is maintained as an incremental
-pixel-set union per active pair.  The linkage is reducible, because
-U(A+B, C) = U(A, C) | U(B, C) is at least as large as either part, so the
-merge heights never decrease along the merge order.
+members, so it is not additive.  Each group keeps a map from every linked
+neighbour to their pair's pixel union; a merge folds the smaller map into
+the larger one, uniting the pixel sets of neighbours both sides share.  A
+min-heap of pairs, keyed by distance and then by the two groups' minimum
+segment ids, picks each merge; items of retired groups are skipped when
+popped (lazy invalidation).  No two active groups share a minimum segment
+id, so that key totally orders the live pairs and the heap merges in the
+same order as scanning every pair for the smallest key.  The linkage is
+reducible, because U(A+B, C) = U(A, C) | U(B, C) is at least as large as
+either part, so the merge heights never decrease along the merge order.
 
 Each merge node also records the link quantities its parameters are read
 from: the link count and summed link length across the merged pair, and
@@ -18,6 +24,7 @@ merge of iteration i (counted from 1) takes M-1+i.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -145,6 +152,16 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     Ties on distance go to the pair whose two group-minimum segment ids
     are lexicographically smallest, which makes the run deterministic.
     Scenes whose link graph is disconnected end as a forest.
+
+    Every linked pair of active groups has one entry, ``[link pixels,
+    link count, length sum]``, shared by both groups' neighbour maps, and
+    one heap item ``(distance, lo min member, hi min member, left id,
+    right id)``.  An item is live while both its groups are active: a
+    pair's entry only changes when one side merges, a merge retires both
+    ids, and ids are never reused, so stale items are simply skipped when
+    popped.  Two active groups never share a minimum member, so the heap
+    orders live pairs exactly as a full scan for the smallest
+    ``(distance, tie key)`` would.
     """
     ordered = sorted(isols, key=lambda isol: isol.id)
     singleton_ids = {isol.id: idx for idx, isol in enumerate(ordered)}
@@ -154,34 +171,31 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     ]
     n_singletons = len(nodes)
 
-    members: dict[int, frozenset[int]] = {n.id: n.members for n in nodes}
-    min_member: dict[int, int] = {idx: min(m) for idx, m in members.items()}
-
-    # Active-pair link-pixel unions; an entry existing means "linked", so a
-    # touching pair keeps its (empty) entry and distance 0.  The pair's
-    # (link count, length sum) lives apart, off the hot min() scan.
-    pair_pixels: dict[tuple[int, int], set[PixelCoord]] = {}
-    pair_stats: dict[tuple[int, int], tuple[int, int]] = {}
+    # The active groups; min_member[g] is the tie key of group g.
+    min_member: dict[int, int] = {idx: isol.id for idx, isol in enumerate(ordered)}
+    # An entry existing means "linked", so a touching pair keeps its
+    # (empty) pixel set and distance 0.  Pixel sets stay the store's
+    # frozensets until a fold first unites another set into one.
+    neighbours: dict[int, dict[int, list]] = {n.id: {} for n in nodes}
+    heap: list[tuple[int, int, int, int, int]] = []
     for a, b in store.pairs():
-        key = (singleton_ids[a], singleton_ids[b])
-        key = key if key[0] < key[1] else (key[1], key[0])
-        pair_pixels[key] = set(store.pair_union(a, b))
-        pair_stats[key] = store.link_stats(a, b)
+        lo, hi = singleton_ids[a], singleton_ids[b]
+        entry = [store.pair_union(a, b), *store.link_stats(a, b)]
+        neighbours[lo][hi] = neighbours[hi][lo] = entry
+        heap.append((len(entry[0]), a, b, lo, hi))
+    heapq.heapify(heap)
     # Link pixels of every merge below each active group.
     cumulative: dict[int, set[PixelCoord]] = {n.id: set() for n in nodes}
 
-    def tie_key(key: tuple[int, int]) -> tuple[int, int]:
-        lo, hi = min_member[key[0]], min_member[key[1]]
-        return (lo, hi) if lo < hi else (hi, lo)
-
     iteration = 0
-    while pair_pixels:
+    while heap:
+        _, _, _, left, right = heapq.heappop(heap)
+        if left not in min_member or right not in min_member:
+            continue
         iteration += 1
-        best = min(pair_pixels, key=lambda k: (len(pair_pixels[k]), tie_key(k)))
-        left, right = best
         new_id = n_singletons - 1 + iteration
-        merge_pixels = pair_pixels.pop(best)
-        link_count, length_sum = pair_stats.pop(best)
+        merge_pixels, link_count, length_sum = neighbours[left].pop(right)
+        del neighbours[right][left]
         covered, smaller = cumulative.pop(left), cumulative.pop(right)
         if len(covered) < len(smaller):
             covered, smaller = smaller, covered
@@ -190,8 +204,8 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
         cumulative[new_id] = covered
         merged = HierarchyNode(
             id=new_id,
-            members=members[left] | members[right],
-            ancestors=best,
+            members=nodes[left].members | nodes[right].members,
+            ancestors=(left, right),
             merge_iteration=iteration,
             merge_distance=len(merge_pixels),
             link_count=link_count,
@@ -202,28 +216,35 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
         nodes[right].successor = new_id
         nodes.append(merged)
 
-        inherited: dict[int, set[PixelCoord]] = {}
-        inherited_stats: dict[int, tuple[int, int]] = {}
-        for key in list(pair_pixels):
-            if left in key or right in key:
-                other = key[1] if key[0] in (left, right) else key[0]
-                pixels = pair_pixels.pop(key)
-                count, total = pair_stats.pop(key)
-                if other in inherited:
-                    inherited[other] |= pixels
-                    kept_count, kept_total = inherited_stats[other]
-                    inherited_stats[other] = (kept_count + count, kept_total + total)
-                else:
-                    inherited[other] = pixels
-                    inherited_stats[other] = (count, total)
-        for other, pixels in inherited.items():
-            key = (other, new_id) if other < new_id else (new_id, other)
-            pair_pixels[key] = pixels
-            pair_stats[key] = inherited_stats[other]
-
-        del members[left], members[right], min_member[left], min_member[right]
-        members[new_id] = merged.members
-        min_member[new_id] = min(merged.members)
+        # Fold the smaller neighbour map into the larger one; a neighbour
+        # of both sides gets the union of its two pixel sets.
+        folded, small = neighbours.pop(left), neighbours.pop(right)
+        if len(folded) < len(small):
+            folded, small = small, folded
+        for other, entry in small.items():
+            kept = folded.get(other)
+            if kept is None:
+                folded[other] = entry
+                continue
+            if len(kept[0]) < len(entry[0]):
+                kept[0], entry[0] = entry[0], kept[0]
+            if isinstance(kept[0], frozenset):
+                kept[0] = set(kept[0])
+            kept[0] |= entry[0]
+            kept[1] += entry[1]
+            kept[2] += entry[2]
+        new_min = min(min_member.pop(left), min_member.pop(right))
+        for other, entry in folded.items():
+            theirs = neighbours[other]
+            theirs.pop(left, None)
+            theirs.pop(right, None)
+            theirs[new_id] = entry
+            lo, hi = min_member[other], new_min
+            if hi < lo:
+                lo, hi = hi, lo
+            heapq.heappush(heap, (len(entry[0]), lo, hi, other, new_id))
+        neighbours[new_id] = folded
+        min_member[new_id] = new_min
 
     return Hierarchy(nodes, singleton_ids)
 

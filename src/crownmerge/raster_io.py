@@ -104,6 +104,9 @@ def by_id(isols: Iterable[Isol]) -> dict[int, Isol]:
 
 _HEADER_RE = re.compile(rb"^#\s*(\d+)\s+(\d+)\s*$")
 
+#: Labels are held as int64.
+_MAX_LABEL = int(np.iinfo(np.int64).max)
+
 
 def sniff_format(head: bytes) -> str:
     """Guess the raster format from the first bytes of a file."""
@@ -160,6 +163,10 @@ def _parse_text_grid(data: bytes) -> LabeledRaster:
                 ) from None
             if value < 0:
                 raise RasterFormatError(f"negative label {value}", row=lineno, col=colno)
+            if value > _MAX_LABEL:
+                raise RasterFormatError(
+                    f"label {value} does not fit in int64", row=lineno, col=colno
+                )
             row.append(value)
         if width is None:
             width = len(row)

@@ -155,6 +155,32 @@ def test_run_command_missing_input(tmp_path):
     assert "error:" in result.stderr
 
 
+def test_run_command_rejects_label_beyond_int64(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("1 0 99999999999999999999\n")
+    result = CliRunner().invoke(
+        main, ["run", "--input", str(path), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 2
+    assert "(row 1, column 3)" in result.stderr
+
+
+@pytest.mark.parametrize("case", ["run-input-dir", "run-out-file", "trace-input-dir"])
+def test_bad_paths_exit_2(tmp_path, case):
+    scene = write_quad(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    args = {
+        "run-input-dir": ["run", "--input", str(tmp_path), "--out", str(tmp_path / "o")],
+        "run-out-file": ["run", "--input", str(scene), "--out", str(blocker)],
+        "trace-input-dir": ["trace", "--input", str(tmp_path), "--isol", "1"],
+    }[case]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ")
+    assert str(tmp_path) in result.stderr
+
+
 def test_run_command_rejects_bad_parameter(tmp_path):
     path = write_quad(tmp_path)
     result = CliRunner().invoke(

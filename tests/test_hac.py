@@ -15,6 +15,7 @@ from crownmerge import (
 )
 
 from conftest import build_bundle, random_bundles
+from oracles import brute_force_merge_sequence, merge_sequence_of
 
 
 # The quad scene merges:  iteration 1 joins {1} and {4} (distance 2, the
@@ -161,3 +162,37 @@ def test_merge_distance_never_decreases(bundle):
     h = bundle.hierarchy
     heights = [h.node(node_id).merge_distance for node_id in h.merge_node_ids()]
     assert heights == sorted(heights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_bundles)
+def test_merge_sequence_matches_brute_force_oracle(bundle):
+    assert merge_sequence_of(bundle.hierarchy) == brute_force_merge_sequence(
+        bundle.isols, bundle.store
+    )
+
+
+def test_lattice_ties_follow_smallest_member_pair():
+    # A 5x5 lattice of 2x2 blocks at pitch 4: every row neighbour sits at
+    # distance 4, so 20 of the 24 merges tie and only the (min member,
+    # min member) key orders them.  Each row chains left to right, then
+    # the five rows join at 52.
+    rows = [[0] * 21 for _ in range(21)]
+    for label in range(1, 26):
+        top, left = 2 + 4 * ((label - 1) // 5), 2 + 4 * ((label - 1) % 5)
+        for y in (top, top + 1):
+            rows[y][left] = rows[y][left + 1] = label
+    bundle = build_bundle(LabeledRaster.from_array(rows))
+    h = bundle.hierarchy
+
+    sequence = merge_sequence_of(h)
+    assert sequence == brute_force_merge_sequence(bundle.isols, bundle.store)
+    assert [distance for *_, distance in sequence] == [4] * 20 + [52] * 4
+    first = [h.node(node_id) for node_id in h.merge_node_ids()[:6]]
+    assert [node.ancestors for node in first] == [
+        (0, 1), (2, 25), (3, 26), (4, 27), (5, 6), (7, 29)
+    ]
+    assert [node.members for node in first] == [
+        {1, 2}, {1, 2, 3}, {1, 2, 3, 4}, {1, 2, 3, 4, 5}, {6, 7}, {6, 7, 8}
+    ]
+    assert h.roots == (48,)

@@ -72,6 +72,18 @@ def test_text_grid_negative_label_rejected():
         parse("0 -1\n")
 
 
+@pytest.mark.parametrize("label", [2**63, 99999999999999999999])
+def test_text_grid_label_beyond_int64_rejected(label):
+    with pytest.raises(RasterFormatError, match="int64") as excinfo:
+        parse(f"1 0\n0 {label}\n")
+    assert (excinfo.value.row, excinfo.value.col) == (2, 2)
+
+
+def test_text_grid_largest_int64_label_accepted():
+    raster = parse(f"0 {2**63 - 1}\n")
+    assert raster.positive_ids() == (2**63 - 1,)
+
+
 def test_text_grid_empty_rejected():
     with pytest.raises(RasterFormatError, match="no rows"):
         parse("")
