@@ -278,17 +278,17 @@ def synth_cmd(kind, seed, k, gap, outliers, n_isols, size, out_dir) -> None:
             scene = synth.generate_ring(seed, k=k, gap=gap, outliers=outliers, size=size)
         else:
             scene = synth.generate_random(seed, n_isols, size=size)
-    except ValueError as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "scene.txt").write_text(raster_io.dump_text_grid(scene.raster))
+        _dump_json(
+            out_dir / "truth.json",
+            {
+                "seed": scene.seed,
+                "truth_groups": [sorted(group) for group in scene.truth_groups],
+            },
+        )
+    except (OSError, ValueError) as exc:
         _fail(str(exc))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "scene.txt").write_text(raster_io.dump_text_grid(scene.raster))
-    _dump_json(
-        out_dir / "truth.json",
-        {
-            "seed": scene.seed,
-            "truth_groups": [sorted(group) for group in scene.truth_groups],
-        },
-    )
     click.echo(f"wrote {kind} scene with {len(scene.truth_groups)} truth groups")
 
 

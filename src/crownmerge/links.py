@@ -20,7 +20,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import IO, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .raster_io import Isol, LabeledRaster, PixelCoord
 
@@ -80,7 +83,7 @@ class LinkStore:
                     )
             self._links[pair] = tuple(links)
             self._union[pair] = frozenset(
-                px for link in links for px in link.interstitial
+                chain.from_iterable(link.interstitial for link in links)
             )
             self._stats[pair] = (len(links), sum(link.length for link in links))
 
@@ -131,37 +134,106 @@ def cast_rays(
     Every surviving ray is stored, one link per originating edge pixel and
     direction, even when two rays cover the same pixels; the union-based
     distance is unaffected by such duplicates.
+
+    No ray is walked.  Every labelled pixel gets a key ``line * span +
+    position`` on each of four axes (rows, columns, ``x - y`` diagonals,
+    ``x + y`` anti-diagonals), and each axis's keys are sorted once.  A
+    ray's first labelled pixel is then the next key above (or below) its
+    origin's key, found for all edge pixels at once with one
+    ``searchsorted`` per direction; it counts only if it lies on the same
+    line, and its label and distance follow from the key.  Links are built
+    only for rays that reach another segment within ``max_ray``, in the
+    order of the segments as given, their sorted edge pixels, then
+    ``DIRECTIONS``, so the link order is that of a pixel-by-pixel walk.
     """
     width, height = raster.width, raster.height
-    flat = raster.labels.ravel().tolist()
-    found: dict[tuple[int, int], list[ConnectiveLink]] = {}
-
+    owners: list[int] = []
+    origins: list[PixelCoord] = []
     for isol in isols:
-        own = isol.id
-        for px, py in sorted(isol.edge_pixels):
-            for name, dx, dy in DIRECTIONS:
-                x, y = px + dx, py + dy
-                path: list[PixelCoord] = []
-                while 0 <= x < width and 0 <= y < height:
-                    label = flat[y * width + x]
-                    if label == 0:
-                        path.append((x, y))
-                        if max_ray is not None and len(path) > max_ray:
-                            break
-                        x += dx
-                        y += dy
-                        continue
-                    if label != own:
-                        link = ConnectiveLink(
-                            origin_isol=own,
-                            target_isol=label,
-                            direction=name,
-                            origin_pixel=(px, py),
-                            interstitial=tuple(path),
-                        )
-                        found.setdefault(_key(own, label), []).append(link)
-                    break
+        edge = sorted(isol.edge_pixels)
+        origins.extend(edge)
+        owners.extend([isol.id] * len(edge))
+    flat = raster.labels.ravel()
+    nonzero = np.flatnonzero(flat)
+    if not origins or not nonzero.size:
+        return LinkStore({})
+
+    coords = np.fromiter(
+        chain.from_iterable(origins), dtype=np.int64, count=2 * len(origins)
+    )
+    ox, oy = coords[0::2], coords[1::2]
+    ys, xs = np.divmod(nonzero, width)
+    labelled = flat[nonzero]
+    own = np.array(owners, dtype=np.int64)
+
+    # One sorted key array per axis, shared by its two opposite directions.
+    axes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    target = np.zeros((len(origins), len(DIRECTIONS)), dtype=np.int64)
+    length = np.zeros_like(target)
+    reached = np.zeros(target.shape, dtype=bool)
+    for d, (_, dx, dy) in enumerate(DIRECTIONS):
+        forward = (dx or dy) > 0
+        axis = (dx, dy) if forward else (-dx, -dy)
+        if axis not in axes:
+            keys, _ = _line_keys(xs, ys, dx, dy, width, height)
+            order = np.argsort(keys)
+            axes[axis] = (keys[order], labelled[order])
+        keys, key_labels = axes[axis]
+        origin_key, span = _line_keys(ox, oy, dx, dy, width, height)
+        if forward:
+            hit = np.searchsorted(keys, origin_key, side="right")
+        else:
+            hit = np.searchsorted(keys, origin_key, side="left") - 1
+        inside = (hit >= 0) & (hit < keys.size)
+        hit = hit.clip(0, keys.size - 1)
+        hit_key = keys[hit]
+        inside &= hit_key // span == origin_key // span
+        target[:, d] = key_labels[hit]
+        length[:, d] = np.abs(hit_key - origin_key) - 1
+        reached[:, d] = inside & (target[:, d] != own)
+    if max_ray is not None:
+        reached &= length <= max_ray
+
+    found: dict[tuple[int, int], list[ConnectiveLink]] = {}
+    rays = np.flatnonzero(reached)
+    ray_origin, ray_direction = np.divmod(rays, len(DIRECTIONS))
+    for e, d, label, n in zip(
+        ray_origin.tolist(),
+        ray_direction.tolist(),
+        target.ravel()[rays].tolist(),
+        length.ravel()[rays].tolist(),
+    ):
+        name, dx, dy = DIRECTIONS[d]
+        px, py = origins[e]
+        link = ConnectiveLink(
+            origin_isol=owners[e],
+            target_isol=label,
+            direction=name,
+            origin_pixel=(px, py),
+            interstitial=tuple(zip(_steps(px, dx, n), _steps(py, dy, n))),
+        )
+        found.setdefault(_key(owners[e], label), []).append(link)
     return LinkStore(found)
+
+
+def _line_keys(x, y, dx: int, dy: int, width: int, height: int):
+    """``(line * span + position, span)`` of pixels on the axis of
+    ``(dx, dy)``; the position grows along the axis's positive step and
+    ``span`` is the number of positions per line."""
+    if dy == 0:
+        return y * width + x, width
+    if dx == 0:
+        return x * height + y, height
+    if dx == dy:
+        return (x - y + height - 1) * width + x, width
+    return (x + y) * width + x, width
+
+
+def _steps(start: int, step: int, n: int) -> Iterable[int]:
+    """The ``n`` coordinates after ``start`` moving by ``step``."""
+    if step:
+        return range(start + step, start + step * (n + 1), step)
+    return repeat(start, n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -50,7 +51,13 @@ class LabeledRaster:
     labels: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.labels, dtype=np.int64, copy=True)
+        raw = np.asarray(self.labels)
+        # Unsigned, float (numpy's pick for Python ints mixing 0 and 2**63)
+        # and object (Python ints beyond 2**64) labels would wrap or
+        # overflow in the cast.  ``2**63`` compares exactly against all three.
+        if raw.size and raw.dtype.kind in "uOf" and raw.max() >= 2**63:
+            raise ValueError(f"label {raw.max()} does not fit in int64")
+        arr = np.array(raw, dtype=np.int64, copy=True)
         if arr.ndim != 2:
             raise ValueError("labels must be a 2-D array")
         if arr.shape != (self.height, self.width):
@@ -267,6 +274,11 @@ def extract_isols(raster: LabeledRaster) -> list[Isol]:
     """Collect every positive label as a segment with its edge-pixel set.
 
     Returns segments sorted by id.  An all-zero raster yields an empty list.
+
+    One sorted pass: the flat indices of all labelled pixels are stably
+    sorted by label and cut into one run per label.  The stable sort keeps
+    row-major order inside each run, so every frozenset is built by
+    inserting its pixels in row-major order.
     """
     labels = raster.labels
     # A pixel is an edge pixel if any 4-neighbour has a different label;
@@ -281,14 +293,21 @@ def extract_isols(raster: LabeledRaster) -> list[Isol]:
     differs[:, 1:] |= labels[:, 1:] != labels[:, :-1]
     differs[:, :-1] |= labels[:, :-1] != labels[:, 1:]
 
+    flat = labels.ravel()
+    nonzero = np.flatnonzero(flat)
+    order = np.argsort(flat[nonzero], kind="stable")
+    index = nonzero[order]
+    ids, starts = np.unique(flat[index], return_index=True)
+    ys, xs = np.divmod(index, raster.width)
+    points = list(zip(xs.tolist(), ys.tolist()))
+    is_edge = differs.ravel()[index].tolist()
+    bounds = [*starts.tolist(), len(points)]
+
     out: list[Isol] = []
-    for isol_id in raster.positive_ids():
-        mask = labels == isol_id
-        ys, xs = np.nonzero(mask)
-        pixels = frozenset(zip(xs.tolist(), ys.tolist()))
-        eys, exs = np.nonzero(mask & differs)
-        edges = frozenset(zip(exs.tolist(), eys.tolist()))
-        out.append(Isol(id=isol_id, pixels=pixels, edge_pixels=edges))
+    for i, isol_id in enumerate(ids.tolist()):
+        run = points[bounds[i] : bounds[i + 1]]
+        edges = compress(run, is_edge[bounds[i] : bounds[i + 1]])
+        out.append(Isol(id=isol_id, pixels=frozenset(run), edge_pixels=frozenset(edges)))
     return out
 
 
@@ -335,8 +354,7 @@ def dump_text_grid(raster: LabeledRaster, header: bool = True) -> str:
     lines = []
     if header:
         lines.append(f"# {raster.width} {raster.height}")
-    for y in range(raster.height):
-        lines.append(" ".join(str(int(v)) for v in raster.labels[y]))
+    lines.extend(" ".join(map(str, row)) for row in raster.labels.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -346,6 +364,5 @@ def dump_pgm(raster: LabeledRaster) -> bytes:
     if maxval > 65535:
         raise ValueError(f"label {maxval} too large for PGM")
     lines = ["P2", f"{raster.width} {raster.height}", f"{maxval}"]
-    for y in range(raster.height):
-        lines.append(" ".join(str(int(v)) for v in raster.labels[y]))
+    lines.extend(" ".join(map(str, row)) for row in raster.labels.tolist())
     return ("\n".join(lines) + "\n").encode("ascii")

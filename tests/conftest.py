@@ -7,6 +7,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -45,17 +46,57 @@ def build_bundle(
     )
 
 
-#: Random scenes of 1..20 blobs on 20..40 px squares, with rays unlimited
-#: or capped at 1..6 pixels so that short caps drop some links.
-random_bundles = st.builds(
-    lambda seed, n_isols, size, max_ray: build_bundle(
-        generate_random(seed, n_isols=n_isols, size=size).raster, max_ray=max_ray
-    ),
+#: Rays unlimited or capped at 1..6 pixels, so that short caps drop links.
+max_rays = st.none() | st.integers(min_value=1, max_value=6)
+
+#: Random scenes of 1..20 blobs on 20..40 px squares.
+synth_rasters = st.builds(
+    lambda seed, n_isols, size: generate_random(seed, n_isols=n_isols, size=size).raster,
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n_isols=st.integers(min_value=1, max_value=20),
     size=st.integers(min_value=20, max_value=40),
-    max_ray=st.none() | st.integers(min_value=1, max_value=6),
 )
+
+random_bundles = st.builds(
+    lambda raster, max_ray: build_bundle(raster, max_ray=max_ray),
+    synth_rasters,
+    max_rays,
+)
+
+#: Label values past the uint8, uint16 and uint32 ranges up to int64 max.
+LABEL_VALUES = (1, 2, 3, 255, 256, 65535, 65536, 2**32 + 1, 2**63 - 1)
+
+
+@st.composite
+def label_rasters(draw) -> LabeledRaster:
+    """Raw label rasters, 1xN, Nx1 or up to 12x12, about half ground.
+
+    Cells draw from a palette of 1-4 labels, so segments touch each other,
+    split into disconnected patches and sit on the border at random.
+    """
+    height, width = draw(
+        st.tuples(st.just(1), st.integers(1, 24))
+        | st.tuples(st.integers(1, 24), st.just(1))
+        | st.tuples(st.integers(2, 12), st.integers(2, 12))
+    )
+    palette = draw(
+        st.lists(
+            st.sampled_from(LABEL_VALUES) | st.integers(1, 2**63 - 1),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    cells = draw(
+        st.lists(
+            st.just(0) | st.sampled_from(palette),
+            min_size=height * width,
+            max_size=height * width,
+        )
+    )
+    return LabeledRaster.from_array(
+        np.array(cells, dtype=np.int64).reshape(height, width)
+    )
 
 
 @pytest.fixture(scope="session")

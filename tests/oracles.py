@@ -1,14 +1,87 @@
 """Slow reference implementations the package is checked against.
 
-Everything here recomputes from first principles: group distances from the
-raw per-link pixel tuples, break points by literal max-over-prefix, and
-cumulative link areas by walking the whole merge subtree.  Nothing is
-shared with the optimized code paths beyond the link store accessors.
+Everything here recomputes from first principles: segments from one
+full-raster mask per label, links by walking every ray pixel by pixel,
+group distances from the raw per-link pixel tuples, break points by
+literal max-over-prefix, and cumulative link areas by walking the whole
+merge subtree.  Nothing is shared with the optimized code paths beyond the
+public types and the link store accessors.
 """
 
 from __future__ import annotations
 
-from crownmerge import Hierarchy, LinkStore
+import numpy as np
+
+from crownmerge import DIRECTIONS, ConnectiveLink, Hierarchy, Isol, LinkStore
+
+
+def brute_force_isols(raster) -> list[Isol]:
+    """Segments by one full-raster mask per positive label, ascending.
+
+    Pixels are inserted in row-major order, as the package does.
+    """
+    labels = raster.labels
+    # A pixel is an edge pixel if any 4-neighbour has a different label;
+    # the raster border counts as outside.
+    differs = np.zeros(labels.shape, dtype=bool)
+    differs[0, :] = True
+    differs[-1, :] = True
+    differs[:, 0] = True
+    differs[:, -1] = True
+    differs[1:, :] |= labels[1:, :] != labels[:-1, :]
+    differs[:-1, :] |= labels[:-1, :] != labels[1:, :]
+    differs[:, 1:] |= labels[:, 1:] != labels[:, :-1]
+    differs[:, :-1] |= labels[:, :-1] != labels[:, 1:]
+
+    out: list[Isol] = []
+    for isol_id in raster.positive_ids():
+        mask = labels == isol_id
+        ys, xs = np.nonzero(mask)
+        pixels = frozenset(zip(xs.tolist(), ys.tolist()))
+        eys, exs = np.nonzero(mask & differs)
+        edges = frozenset(zip(exs.tolist(), eys.tolist()))
+        out.append(Isol(id=isol_id, pixels=pixels, edge_pixels=edges))
+    return out
+
+
+def walk_rays(raster, isols, max_ray: int | None = None) -> LinkStore:
+    """Links by walking every ray pixel by pixel from every edge pixel.
+
+    Rays go segment by segment in the given order, edge pixels sorted,
+    directions in ``DIRECTIONS`` order.
+    """
+    width, height = raster.width, raster.height
+    flat = raster.labels.ravel().tolist()
+    found: dict[tuple[int, int], list[ConnectiveLink]] = {}
+
+    for isol in isols:
+        own = isol.id
+        for px, py in sorted(isol.edge_pixels):
+            for name, dx, dy in DIRECTIONS:
+                x, y = px + dx, py + dy
+                path: list = []
+                while 0 <= x < width and 0 <= y < height:
+                    label = flat[y * width + x]
+                    if label == 0:
+                        path.append((x, y))
+                        if max_ray is not None and len(path) > max_ray:
+                            break
+                        x += dx
+                        y += dy
+                        continue
+                    if label != own:
+                        link = ConnectiveLink(
+                            origin_isol=own,
+                            target_isol=label,
+                            direction=name,
+                            origin_pixel=(px, py),
+                            interstitial=tuple(path),
+                        )
+                        found.setdefault((min(own, label), max(own, label)), []).append(
+                            link
+                        )
+                    break
+    return LinkStore(found)
 
 
 def raw_union(store: LinkStore, group_a, group_b) -> tuple[set, bool]:

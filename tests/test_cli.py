@@ -247,6 +247,17 @@ def test_synth_command_rejects_impossible_geometry(tmp_path):
     assert "at least 3" in result.stderr
 
 
+def test_synth_command_out_under_a_file_exits_2(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    result = CliRunner().invoke(
+        main, ["synth", "--kind", "ring", "--out", str(blocker / "scene")]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ")
+    assert str(blocker) in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # end to end on planted scenes
 # ---------------------------------------------------------------------------

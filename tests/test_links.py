@@ -6,6 +6,7 @@ import io
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crownmerge import (
     DIRECTIONS,
@@ -20,7 +21,15 @@ from crownmerge import (
 )
 from crownmerge.links import dump_links_csv
 
-from conftest import QUAD_GRID, QUAD_PAIR_DISTANCES, build_bundle
+from conftest import (
+    QUAD_GRID,
+    QUAD_PAIR_DISTANCES,
+    build_bundle,
+    label_rasters,
+    max_rays,
+    synth_rasters,
+)
+from oracles import walk_rays
 
 
 def scene(rows):
@@ -147,6 +156,27 @@ def test_max_ray_caps_interstitial_length():
     assert len(cast_rays(raster, isols, max_ray=3)) == 0
     capped = cast_rays(raster, isols, max_ray=4)
     assert pair_distance(capped, 1, 2) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_rasters() | synth_rasters, max_rays, st.booleans())
+@example(LabeledRaster.from_array([[1, 0, 1, 0, 2]]), None, False)  # back to own label
+@example(LabeledRaster.from_array([[1], [0], [0], [2]]), 1, False)  # capped below the gap
+@example(LabeledRaster.from_array([[0, 0, 5], [0, 0, 0], [70000, 0, 0]]), None, True)
+def test_cast_rays_matches_pixel_walk_oracle(raster, max_ray, reverse):
+    # Segments are cast in the order given, which need not be by id.
+    isols = extract_isols(raster)[:: -1 if reverse else 1]
+    got = cast_rays(raster, isols, max_ray=max_ray)
+    want = walk_rays(raster, isols, max_ray=max_ray)
+    assert got.pairs() == want.pairs()
+    for pair in got.pairs():
+        links = got.links_between(*pair)
+        assert links == want.links_between(*pair)
+        assert got.pair_union(*pair) == want.pair_union(*pair)
+        assert got.link_stats(*pair) == want.link_stats(*pair)
+        for link in links:
+            assert type(link.target_isol) is int
+            assert all(type(v) is int for px in link.interstitial for v in px)
 
 
 def test_no_connection_is_infinite():

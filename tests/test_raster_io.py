@@ -6,6 +6,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from crownmerge import (
     FORMAT_PGM,
@@ -21,7 +22,8 @@ from crownmerge import (
     write_cluster_raster,
 )
 
-from conftest import QUAD_GRID
+from conftest import QUAD_GRID, label_rasters, synth_rasters
+from oracles import brute_force_isols
 
 
 def parse(text: str, fmt: str = FORMAT_TEXT_GRID) -> LabeledRaster:
@@ -163,6 +165,27 @@ def test_raster_rejects_negative_labels():
         LabeledRaster.from_array([[0, -3]])
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([[0, 2**63]], dtype=np.uint64),
+        np.array([[0, 2**64 - 1]], dtype=np.uint64),
+        [[0, 2**63]],
+        [[0, 10**20]],
+    ],
+    ids=["uint64-2^63", "uint64-max", "int-2^63", "int-10^20"],
+)
+def test_raster_rejects_label_beyond_int64(labels):
+    with pytest.raises(ValueError, match="does not fit in int64"):
+        LabeledRaster.from_array(labels)
+
+
+def test_raster_accepts_largest_int64_label_from_uint64():
+    raster = LabeledRaster.from_array(np.array([[0, 2**63 - 1]], dtype=np.uint64))
+    assert raster.label_at(1, 0) == 2**63 - 1
+    assert raster.labels.dtype == np.int64
+
+
 def test_raster_labels_are_frozen():
     raster = LabeledRaster.from_array([[0, 1]])
     with pytest.raises(ValueError):
@@ -225,6 +248,22 @@ def test_extract_relabeling_permutes_output():
             continue
         assert original[old_id].pixels == permuted[new_id].pixels
         assert original[old_id].edge_pixels == permuted[new_id].edge_pixels
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_rasters() | synth_rasters)
+@example(LabeledRaster.from_array([[7, 0, 0, 7]]))  # disconnected patches
+@example(LabeledRaster.from_array([[1], [2], [0], [2]]))  # touching, Nx1
+@example(LabeledRaster.from_array([[2**63 - 1, 65536], [256, 0]]))  # wide labels
+def test_extract_matches_mask_oracle(raster):
+    got = extract_isols(raster)
+    want = brute_force_isols(raster)
+    assert got == want
+    for isol, ref in zip(got, want):
+        assert type(isol.id) is int
+        # The same row-major insertion order, so the sets iterate alike.
+        assert list(isol.pixels) == list(ref.pixels)
+        assert list(isol.edge_pixels) == list(ref.edge_pixels)
 
 
 # ---------------------------------------------------------------------------
