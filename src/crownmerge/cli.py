@@ -9,6 +9,7 @@ timestamps or absolute paths appear in any artifact.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -69,12 +70,11 @@ class _Analysis:
 def _load(config: PipelineConfig) -> tuple[raster_io.LabeledRaster, list[raster_io.Isol]]:
     """Validate the config, then read the raster and extract its regions."""
     config.validate()
+    data = config.input_path.read_bytes()
     fmt = config.fmt
     if fmt == "auto":
-        with open(config.input_path, "rb") as fh:
-            fmt = raster_io.sniff_format(fh.read(64))
-    with open(config.input_path, "rb") as fh:
-        raster = raster_io.load_raster(fh, fmt)
+        fmt = raster_io.sniff_format(data[:64])
+    raster = raster_io.load_raster(io.BytesIO(data), fmt)
     return raster, raster_io.extract_isols(raster)
 
 
@@ -99,6 +99,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     trimmed = termination.trim(hierarchy, breaks)
     terminals = termination.filter_terminals(trimmed, hierarchy, config.min_group_size)
     candidates = ranking.rank_candidates(hierarchy, by_id, terminals, key=config.score_key)
+    # Rendered before anything is written: it is the one artifact that can
+    # still fail (more than 65535 candidates), and then no --out is made.
+    clusters = _render_clusters(raster, hierarchy, by_id, candidates)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(config, hierarchy, breaks, candidates)
@@ -113,7 +116,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             termination.dump_trace_csv(trace, fh)
     with open(config.out_dir / "histogram.csv", "w", newline="") as fh:
         termination.dump_histogram_csv(hierarchy, breaks, fh)
-    _write_clusters(config, raster, hierarchy, by_id, candidates)
+    (config.out_dir / "clusters.pgm").write_bytes(clusters)
     if config.dump_links:
         with open(config.out_dir / "links.csv", "w", newline="") as fh:
             links.dump_links_csv(analysis.store, fh)
@@ -167,14 +170,14 @@ def _write_hierarchy(config, hierarchy) -> None:
     )
 
 
-def _write_clusters(config, raster, hierarchy, by_id, candidates) -> None:
+def _render_clusters(raster, hierarchy, by_id, candidates) -> bytes:
+    """The ``clusters.pgm`` bytes: each candidate painted with its rank."""
     groups = [
         (rank, sorted(hierarchy.node(c.node_id).members))
         for rank, c in enumerate(candidates, start=1)
     ]
     painted = raster_io.write_cluster_raster(raster, groups, by_id)
-    with open(config.out_dir / "clusters.pgm", "wb") as fh:
-        fh.write(raster_io.dump_pgm(painted))
+    return raster_io.dump_pgm(painted)
 
 
 def _dump_json(path: Path, payload: dict) -> None:

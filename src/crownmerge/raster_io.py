@@ -52,6 +52,12 @@ class LabeledRaster:
 
     def __post_init__(self):
         raw = np.asarray(self.labels)
+        # The cast would truncate a fraction and turn NaN or infinity into
+        # an arbitrary integer.
+        if raw.dtype.kind == "f":
+            integral = np.isfinite(raw) & (raw == np.trunc(raw))
+            if not integral.all():
+                raise ValueError(f"label {raw[~integral][0]} is not an integer")
         # Unsigned, float (numpy's pick for Python ints mixing 0 and 2**63)
         # and object (Python ints beyond 2**64) labels would wrap or
         # overflow in the cast.  ``2**63`` compares exactly against all three.
@@ -114,6 +120,22 @@ _HEADER_RE = re.compile(rb"^#\s*(\d+)\s+(\d+)\s*$")
 #: Labels are held as int64.
 _MAX_LABEL = int(np.iinfo(np.int64).max)
 
+#: Bytes per block of the text-grid reader and writer, which bounds their
+#: numpy temporaries whatever the raster size.
+_BLOCK = 1 << 16
+
+#: The bytes of a plain text-grid body: ASCII digits, the two separators
+#: (space, tab) and the two line breaks (CR, LF; CRLF counts as one break
+#: for ``str.splitlines``, as two with no cell between for the reader).
+_PLAIN = b"0123456789 \t\r\n"
+
+#: Longest plain token: every 18-digit number is below 2**63.
+_PLAIN_DIGITS = 18
+
+#: 10, 100, ..., 10**18: a label has one digit more than the number of
+#: these it reaches.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
 
 def sniff_format(head: bytes) -> str:
     """Guess the raster format from the first bytes of a file."""
@@ -139,6 +161,17 @@ def load_raster(stream: BinaryIO, fmt: str) -> LabeledRaster:
 
 
 def _parse_text_grid(data: bytes) -> LabeledRaster:
+    """Parse a text grid: an optional ``# W H`` header line, then one row per line.
+
+    The body after the header goes to ``_read_plain_grid`` when it is plain:
+    only ASCII digits, spaces, tabs, CRs and LFs, no token over 18 digits,
+    and the same number of tokens on every non-blank line.  Anything else
+    (a sign, ``_``, non-ASCII digits or whitespace, 19-digit labels, ``\\v``
+    or ``\\f`` breaks, a bad token, ragged rows) takes the per-cell loop,
+    which accepts every cell Python ``int()`` accepts in 0..2**63-1 and
+    raises each located ``RasterFormatError``.  Both paths give the same
+    grid wherever both accept the input.
+    """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -147,13 +180,34 @@ def _parse_text_grid(data: bytes) -> LabeledRaster:
     lines = text.splitlines()
     declared: tuple[int, int] | None = None
     start = 0
+    offset = 0
     if lines and lines[0].lstrip().startswith("#"):
         m = _HEADER_RE.match(lines[0].strip().encode())
         if not m:
             raise RasterFormatError(f"malformed header line {lines[0]!r}", row=1)
         declared = (int(m.group(1)), int(m.group(2)))
         start = 1
+        # The body starts after the header line and its line break (after
+        # the CR of a CRLF, which leaves the body a blank first line).
+        offset = len(text[: len(lines[0]) + 1].encode())
 
+    grid = _read_plain_grid(data, offset)
+    if grid is None:
+        grid = _parse_cells(lines, start)
+    height, width = grid.shape
+    if declared is not None and (width, height) != declared:
+        raise RasterFormatError(
+            f"header declares {declared[0]}x{declared[1]} "
+            f"but grid is {width}x{height}"
+        )
+    return LabeledRaster(width=width, height=height, labels=grid)
+
+
+def _parse_cells(lines: list[str], start: int) -> np.ndarray:
+    """The grid of ``lines[start:]``, one Python ``int()`` per cell.
+
+    Raises a ``RasterFormatError`` located at the first bad cell or row.
+    """
     rows: list[list[int]] = []
     width: int | None = None
     for lineno, line in enumerate(lines[start:], start=start + 1):
@@ -185,13 +239,69 @@ def _parse_text_grid(data: bytes) -> LabeledRaster:
 
     if not rows:
         raise RasterFormatError("text grid contains no rows")
-    assert width is not None
-    if declared is not None and (width, len(rows)) != declared:
-        raise RasterFormatError(
-            f"header declares {declared[0]}x{declared[1]} "
-            f"but grid is {width}x{len(rows)}"
-        )
-    return LabeledRaster(width=width, height=len(rows), labels=np.array(rows))
+    return np.array(rows, dtype=np.int64)
+
+
+def _read_plain_grid(data: bytes, offset: int) -> np.ndarray | None:
+    """The int64 grid in ``data[offset:]``, or None unless that body is plain.
+
+    Plain means: every byte is an ASCII digit, space, tab, CR or LF; every
+    token has at most 18 digits, so its value fits in int64; and every
+    non-blank line has the same number of tokens, at least one.  The body is
+    read in blocks of whole lines of about ``_BLOCK`` bytes (one line, if it
+    is longer), so the temporaries stay a few times that size whatever the
+    raster.
+    """
+    blocks: list[np.ndarray] = []
+    width = 0
+    start = offset
+    while start < len(data):
+        stop = _lines_end(data, start, start + _BLOCK)
+        if data[start:stop].translate(None, _PLAIN):
+            return None
+        buf = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+        start = stop
+        # Among plain bytes, exactly the digits are >= b"0".
+        digit = buf >= ord("0")
+        edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+        starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+        if not starts.size:
+            continue
+        if lengths.max() > _PLAIN_DIGITS:
+            return None
+        # Tokens per line: the tokens before each line break, differenced.
+        breaks = np.flatnonzero((buf == ord("\n")) | (buf == ord("\r")))
+        per_line = np.diff(np.searchsorted(starts, breaks), prepend=0, append=starts.size)
+        per_line = per_line[per_line > 0]
+        width = width or int(per_line[0])
+        if (per_line != width).any():
+            return None
+        # Read the tokens digit by digit from the left, dropping each one
+        # once its last digit is in.
+        values = (buf[starts] - ord("0")).astype(np.int64)
+        more = np.flatnonzero(lengths > 1)
+        k = 1
+        while more.size:
+            values[more] = values[more] * 10 + (buf[starts[more] + k] - ord("0"))
+            k += 1
+            more = more[lengths[more] > k]
+        blocks.append(values)
+    if not blocks:
+        return None
+    return np.concatenate(blocks).reshape(-1, width)
+
+
+def _lines_end(data: bytes, start: int, stop: int) -> int:
+    """End of the block of whole lines that begins at ``start``: just past
+    the last line break before ``stop``, or past the next one when a line
+    runs beyond ``stop``, or the end of ``data``."""
+    if stop >= len(data):
+        return len(data)
+    last = max(data.rfind(b"\n", start, stop), data.rfind(b"\r", start, stop))
+    if last < 0:
+        after = [i for i in (data.find(b"\n", stop), data.find(b"\r", stop)) if i >= 0]
+        last = min(after, default=len(data) - 1)
+    return last + 1
 
 
 def _parse_pgm(data: bytes) -> LabeledRaster:
@@ -351,11 +461,8 @@ def write_cluster_raster(
 
 
 def dump_text_grid(raster: LabeledRaster, header: bool = True) -> str:
-    lines = []
-    if header:
-        lines.append(f"# {raster.width} {raster.height}")
-    lines.extend(" ".join(map(str, row)) for row in raster.labels.tolist())
-    return "\n".join(lines) + "\n"
+    head = f"# {raster.width} {raster.height}\n" if header else ""
+    return _format_grid(head.encode("ascii"), raster.labels).decode("ascii")
 
 
 def dump_pgm(raster: LabeledRaster) -> bytes:
@@ -363,6 +470,32 @@ def dump_pgm(raster: LabeledRaster) -> bytes:
     maxval = max(1, int(raster.labels.max(initial=0)))
     if maxval > 65535:
         raise ValueError(f"label {maxval} too large for PGM")
-    lines = ["P2", f"{raster.width} {raster.height}", f"{maxval}"]
-    lines.extend(" ".join(map(str, row)) for row in raster.labels.tolist())
-    return ("\n".join(lines) + "\n").encode("ascii")
+    head = f"P2\n{raster.width} {raster.height}\n{maxval}\n".encode("ascii")
+    return _format_grid(head, raster.labels)
+
+
+def _format_grid(head: bytes, labels: np.ndarray) -> bytes:
+    """``head``, then each row of non-negative ``labels`` as decimal cells
+    one space apart and ending in LF: the bytes of ``" ".join(map(str, row))``.
+
+    Works in blocks of whole rows of about ``_BLOCK`` bytes of labels.
+    """
+    height, width = labels.shape
+    rows = max(1, _BLOCK // (8 * width))
+    parts = [head]
+    for top in range(0, height, rows):
+        cells = labels[top : top + rows].ravel()
+        ndigits = np.searchsorted(_POW10, cells, side="right") + 1
+        # Each cell's digits are followed by one separator byte.
+        ends = np.cumsum(ndigits + 1)
+        out = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
+        out[ends[width - 1 :: width] - 1] = ord("\n")
+        # Fill the digits from the units up, dropping each cell once its
+        # leading digit is written.
+        at, rest = ends - 2, cells
+        while at.size:
+            out[at] = rest % 10 + ord("0")
+            more = ndigits > 1
+            at, rest, ndigits = at[more] - 1, rest[more] // 10, ndigits[more] - 1
+        parts.append(out.tobytes())
+    return b"".join(parts)

@@ -1,7 +1,8 @@
 """Slow reference implementations the package is checked against.
 
-Everything here recomputes from first principles: segments from one
-full-raster mask per label, links by walking every ray pixel by pixel,
+Everything here recomputes from first principles: text grids with one
+Python ``int()`` or ``str()`` per cell, segments from one full-raster mask
+per label, links by walking every ray pixel by pixel,
 group distances from the raw per-link pixel tuples, break points by
 literal max-over-prefix, and cumulative link areas by walking the whole
 merge subtree.  Nothing is shared with the optimized code paths beyond the
@@ -13,6 +14,16 @@ from __future__ import annotations
 import numpy as np
 
 from crownmerge import DIRECTIONS, ConnectiveLink, Hierarchy, Isol, LinkStore
+
+
+def parse_text_rows(text: str) -> list[list[int]]:
+    """The cells of a headerless text grid, one ``int()`` per cell."""
+    return [[int(c) for c in line.split()] for line in text.splitlines() if line.strip()]
+
+
+def format_rows(rows) -> str:
+    """Rows as text: ``str`` of each cell, one space apart, one line per row."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
 
 def brute_force_isols(raster) -> list[Isol]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from crownmerge import LabeledRaster, dump_text_grid, generate_ring, load_raster
+from crownmerge import LabeledRaster, dump_text_grid, generate_ring, load_raster, raster_io
 from crownmerge.cli import PipelineConfig, REPORT_SCHEMA, main, run_pipeline
 
 from conftest import QUAD_GRID
@@ -179,6 +179,20 @@ def test_bad_paths_exit_2(tmp_path, case):
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ")
     assert str(tmp_path) in result.stderr
+
+
+def test_run_leaves_no_output_when_cluster_pgm_fails(tmp_path, monkeypatch):
+    def refuse(raster):
+        raise ValueError("label 70000 too large for PGM")
+
+    monkeypatch.setattr(raster_io, "dump_pgm", refuse)
+    out = tmp_path / "o"
+    result = CliRunner().invoke(
+        main, ["run", "--input", str(write_quad(tmp_path)), "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert "too large for PGM" in result.stderr
+    assert not out.exists()
 
 
 def test_run_command_rejects_bad_parameter(tmp_path):

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import io
+import random
+import warnings
+from contextlib import nullcontext
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from crownmerge import raster_io
 from crownmerge import (
     FORMAT_PGM,
     FORMAT_TEXT_GRID,
@@ -22,8 +29,8 @@ from crownmerge import (
     write_cluster_raster,
 )
 
-from conftest import QUAD_GRID, label_rasters, synth_rasters
-from oracles import brute_force_isols
+from conftest import LABEL_VALUES, QUAD_GRID, label_rasters, synth_rasters
+from oracles import brute_force_isols, format_rows, parse_text_rows
 
 
 def parse(text: str, fmt: str = FORMAT_TEXT_GRID) -> LabeledRaster:
@@ -89,6 +96,175 @@ def test_text_grid_largest_int64_label_accepted():
 def test_text_grid_empty_rejected():
     with pytest.raises(RasterFormatError, match="no rows"):
         parse("")
+
+
+#: Labels at the digit counts the text-grid reader and writer switch on.
+DIGIT_EDGES = (0, 9, 10, 99, 100, 10**17, 10**18 - 1, 10**18, 2**63 - 1)
+
+
+@st.composite
+def label_grids(draw) -> np.ndarray:
+    """int64 grids 1xN, Nx1 or up to 40x40 over a palette of 1-6 labels."""
+    height, width = draw(
+        st.tuples(st.just(1), st.integers(1, 40))
+        | st.tuples(st.integers(1, 40), st.just(1))
+        | st.tuples(st.integers(1, 40), st.integers(1, 40))
+    )
+    palette = draw(
+        st.lists(
+            st.sampled_from(DIGIT_EDGES + LABEL_VALUES) | st.integers(0, 2**63 - 1),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array(palette, dtype=np.int64)[rng.integers(len(palette), size=(height, width))]
+
+
+#: Whitespace and line breaks of a plain text grid.
+SEPARATORS = (" ", "\t", "  ", " \t")
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+#: What only Python ``str.split``, ``str.splitlines`` and ``int()`` accept:
+#: non-ASCII or control whitespace, other line breaks, and cells with a
+#: sign, an underscore or Arabic-Indic digits.
+EXOTIC_SEPARATORS = ("\xa0", "\u3000", "\x1f")
+EXOTIC_LINE_ENDS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+EXOTIC_KINDS = {
+    **dict.fromkeys(EXOTIC_SEPARATORS, "sep"),
+    **dict.fromkeys(EXOTIC_LINE_ENDS, "end"),
+    **dict.fromkeys(("+", "0_", "arabic"), "cell"),
+}
+
+
+@dataclass(frozen=True)
+class Layout:
+    """One way to lay rows of tokens out as a text grid.
+
+    Cells are one or more spaces or tabs apart, lines end in LF, CRLF or a
+    lone CR, rows may be indented or trail whitespace and have blank lines
+    between them, and digit cells may gain leading zeros.  The header line
+    may be indented with non-ASCII spaces and end in any line break.
+    ``exotic`` (a key of ``EXOTIC_KINDS``) respells one separator, line
+    end or cell, or with ``everywhere`` every one of its kind, so that the
+    body is plain but for that.
+    """
+
+    seed: int
+    header: bool
+    final_newline: bool
+    exotic: str | None
+    everywhere: bool
+
+    def write(self, rows: list[list[str]], width: int, height: int) -> tuple[str, str]:
+        """The header line with its break (or nothing), and the body."""
+        rng = random.Random(self.seed)
+        pieces: list[str] = []
+        kinds: list[str] = []  # "sep", "end" or "cell" where a piece may be respelt
+
+        def put(piece: str, kind: str = "") -> None:
+            pieces.append(piece)
+            kinds.append(kind)
+
+        for row in rows:
+            while rng.random() < 0.2:
+                put(rng.choice(("", " ", "\t ")))
+                put(rng.choice(LINE_ENDS), "end")
+            put(rng.choice(("", " ", "\t")))
+            for i, tok in enumerate(row):
+                if i:
+                    put(rng.choice(SEPARATORS), "sep")
+                if tok.isdigit():
+                    put("00" + tok if rng.random() < 0.1 else tok, "cell")
+                else:
+                    put(tok)
+            put(rng.choice(("", " ", "\t")))
+            put(rng.choice(LINE_ENDS), "end")
+        if not self.final_newline:
+            pieces[-1], kinds[-1] = "", ""
+        kind = EXOTIC_KINDS.get(self.exotic)
+        spots = [i for i, k in enumerate(kinds) if k == kind]
+        if spots:
+            # One spot, or every spot of the kind, respelt.
+            for i in spots if self.everywhere else [rng.choice(spots)]:
+                if kind == "cell":
+                    tok = pieces[i]
+                    pieces[i] = tok.translate(ARABIC_INDIC) if self.exotic == "arabic" else self.exotic + tok
+                else:
+                    pieces[i] = self.exotic
+        head = ""
+        if self.header:
+            lead = rng.choice(("", " ", "\xa0", "\u3000"))
+            head = f"{lead}# {width} {height}" + rng.choice(LINE_ENDS + EXOTIC_LINE_ENDS)
+        return head, "".join(pieces)
+
+
+layouts = st.builds(
+    Layout,
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+    st.none() | st.sampled_from(list(EXOTIC_KINDS)),
+    st.booleans(),
+)
+
+#: Block sizes of 1-64 bytes, so that most inputs span several blocks.
+small_blocks = st.integers(1, 64)
+
+
+def is_plain(body: str) -> bool:
+    """Whether a text-grid body should take the block reader (see
+    ``raster_io._read_plain_grid``)."""
+    rows = [line.split() for line in body.splitlines() if line.strip()]
+    return (
+        set(body) <= set("0123456789 \t\r\n")
+        and all(len(tok) <= 18 for row in rows for tok in row)
+        and len({len(row) for row in rows}) == 1
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_grids(), layouts, small_blocks)
+def test_text_grid_parse_matches_int_oracle(grid, layout, block):
+    height, width = grid.shape
+    head, body = layout.write([list(map(str, row)) for row in grid.tolist()], width, height)
+    want = np.array(parse_text_rows(body), dtype=np.int64)
+    assert np.array_equal(want, grid)  # the layout keeps every cell
+    # Plain input must never reach the per-cell loop.
+    loop = (
+        mock.patch.object(raster_io, "_parse_cells", side_effect=AssertionError("per-cell loop"))
+        if is_plain(body)
+        else nullcontext()
+    )
+    with mock.patch.object(raster_io, "_BLOCK", block), loop:
+        raster = parse(head + body)
+    assert np.array_equal(raster.labels, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_grids(), layouts, small_blocks, st.data())
+def test_text_grid_bad_cell_or_short_row_is_located(grid, layout, block, data):
+    height, width = grid.shape
+    rows = [list(map(str, row)) for row in grid.tolist()]
+    kinds = ["x", "-3", "1.5", str(2**63)] + (["short row"] if height > 1 < width else [])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    r = data.draw(st.integers(0, height - 1), label="row")
+    if kind == "short row":
+        rows[r].pop()
+        # A short first row sets the width, so the next row is the bad one.
+        bad_row, col = max(r, 1), None
+    else:
+        c = data.draw(st.integers(0, width - 1), label="column")
+        rows[r][c] = kind
+        bad_row, col = r, c + 1
+    text = "".join(layout.write(rows, width, height))
+    lines = text.splitlines()
+    linenos = [i + 1 for i, line in enumerate(lines) if line.strip() and (i or not layout.header)]
+    with mock.patch.object(raster_io, "_BLOCK", block):
+        with pytest.raises(RasterFormatError) as excinfo:
+            parse(text)
+    assert (excinfo.value.row, excinfo.value.col) == (linenos[bad_row], col)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +354,19 @@ def test_raster_rejects_negative_labels():
 def test_raster_rejects_label_beyond_int64(labels):
     with pytest.raises(ValueError, match="does not fit in int64"):
         LabeledRaster.from_array(labels)
+
+
+@pytest.mark.parametrize("label", [1.5, -0.5, float("nan"), float("inf")])
+def test_raster_rejects_non_integral_float_label(label):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="is not an integer"):
+            LabeledRaster.from_array([[0, label]])
+
+
+def test_raster_accepts_integral_float_labels():
+    raster = LabeledRaster.from_array([[0.0, 2.0]])
+    assert raster.labels.tolist() == [[0, 2]]
 
 
 def test_raster_accepts_largest_int64_label_from_uint64():
@@ -289,6 +478,23 @@ def test_pgm_round_trip():
     assert data.startswith(b"P2\n13 7\n4\n")
     again = load_raster(io.BytesIO(data), FORMAT_PGM)
     assert np.array_equal(raster.labels, again.labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_grids(), st.integers(1, 2048))
+def test_writers_match_str_join_oracle(grid, block):
+    height, width = grid.shape
+    raster = LabeledRaster.from_array(grid)
+    pgm_raster = LabeledRaster.from_array(grid % 65536)
+    with mock.patch.object(raster_io, "_BLOCK", block):
+        text = dump_text_grid(raster)
+        bare = dump_text_grid(raster, header=False)
+        pgm = dump_pgm(pgm_raster)
+    assert bare == format_rows(grid.tolist())
+    assert text == f"# {width} {height}\n" + bare
+    maxval = max(1, int(pgm_raster.labels.max()))
+    want = f"P2\n{width} {height}\n{maxval}\n" + format_rows(pgm_raster.labels.tolist())
+    assert pgm == want.encode("ascii")
 
 
 def test_pgm_dump_all_zero_uses_maxval_one():
