@@ -174,8 +174,8 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     # The active groups; min_member[g] is the tie key of group g.
     min_member: dict[int, int] = {idx: isol.id for idx, isol in enumerate(ordered)}
     # An entry existing means "linked", so a touching pair keeps its
-    # (empty) pixel set and distance 0.  Pixel sets stay the store's
-    # frozensets until a fold first unites another set into one.
+    # (empty) pixel set and distance 0.  Pixel sets stay the frozensets
+    # pair_union builds until a fold first unites another set into one.
     neighbours: dict[int, dict[int, list]] = {n.id: {} for n in nodes}
     heap: list[tuple[int, int, int, int, int]] = []
     for a, b in store.pairs():

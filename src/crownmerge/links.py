@@ -6,8 +6,8 @@ in both axes, king-style) across interstitial label-0 pixels and either
 
 * leaves the raster           -> discarded,
 * returns to its own segment  -> discarded,
-* reaches another segment     -> recorded as a link carrying the
-                                 interstitial pixels it crossed.
+* reaches another segment     -> recorded as a link, which is just the
+                                 ray; its pixels are derived where read.
 
 The connective distance between two segments is the number of distinct
 interstitial pixels covered by all their links together, so overlapping
@@ -39,36 +39,38 @@ DIRECTIONS: tuple[tuple[str, int, int], ...] = (
     ("NW", -1, -1),
 )
 
+_STEPS = {name: (dx, dy) for name, dx, dy in DIRECTIONS}
+
 #: Distance value for segment pairs without any connective link.
 NO_CONNECTION = math.inf
 
 
 @dataclass(frozen=True)
 class ConnectiveLink:
-    """A single recorded ray from one segment to another."""
+    """A recorded ray to another segment: ``interstitial`` derives the
+    ``length`` ground pixels it crossed after ``origin_pixel`` in ``direction``."""
 
     origin_isol: int
     target_isol: int
     direction: str
     origin_pixel: PixelCoord
-    interstitial: tuple[PixelCoord, ...]
+    length: int
 
     @property
-    def length(self) -> int:
-        return len(self.interstitial)
+    def interstitial(self) -> tuple[PixelCoord, ...]:
+        (px, py), (dx, dy), n = self.origin_pixel, _STEPS[self.direction], self.length
+        return tuple(zip(_steps(px, dx, n), _steps(py, dy, n)))
 
 
 class LinkStore:
     """All links of a scene, grouped by unordered segment pair.
 
-    Per-pair pixel unions and length sums are precomputed because distance
-    queries and merge bookkeeping hit them constantly.
+    A link is its ray, so per-pair pixel unions and length sums are
+    computed from the links on each call.
     """
 
     def __init__(self, links_by_pair: Mapping[tuple[int, int], Sequence[ConnectiveLink]]):
         self._links: dict[tuple[int, int], tuple[ConnectiveLink, ...]] = {}
-        self._union: dict[tuple[int, int], frozenset[PixelCoord]] = {}
-        self._stats: dict[tuple[int, int], tuple[int, int]] = {}
         for pair, links in links_by_pair.items():
             a, b = pair
             if a >= b:
@@ -81,11 +83,11 @@ class LinkStore:
                         f"link {link.origin_isol}->{link.target_isol} "
                         f"filed under pair {pair}"
                     )
+                if link.direction not in _STEPS:
+                    raise ValueError(f"link has unknown direction {link.direction!r}")
+                if link.length < 0:
+                    raise ValueError(f"link has negative length {link.length}")
             self._links[pair] = tuple(links)
-            self._union[pair] = frozenset(
-                chain.from_iterable(link.interstitial for link in links)
-            )
-            self._stats[pair] = (len(links), sum(link.length for link in links))
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Linked segment pairs, sorted."""
@@ -99,11 +101,13 @@ class LinkStore:
 
     def pair_union(self, a: int, b: int) -> frozenset[PixelCoord]:
         """Distinct interstitial pixels over all links of the pair."""
-        return self._union.get(_key(a, b), frozenset())
+        links = self.links_between(a, b)
+        return frozenset(chain.from_iterable(link.interstitial for link in links))
 
     def link_stats(self, a: int, b: int) -> tuple[int, int]:
         """(link count, summed link length) for the pair; (0, 0) if unlinked."""
-        return self._stats.get(_key(a, b), (0, 0))
+        links = self.links_between(a, b)
+        return len(links), sum(link.length for link in links)
 
     def __len__(self) -> int:
         return len(self._links)
@@ -203,14 +207,12 @@ def cast_rays(
         target.ravel()[rays].tolist(),
         length.ravel()[rays].tolist(),
     ):
-        name, dx, dy = DIRECTIONS[d]
-        px, py = origins[e]
         link = ConnectiveLink(
             origin_isol=owners[e],
             target_isol=label,
-            direction=name,
-            origin_pixel=(px, py),
-            interstitial=tuple(zip(_steps(px, dx, n), _steps(py, dy, n))),
+            direction=DIRECTIONS[d][0],
+            origin_pixel=origins[e],
+            length=n,
         )
         found.setdefault(_key(owners[e], label), []).append(link)
     return LinkStore(found)

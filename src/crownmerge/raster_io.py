@@ -8,6 +8,7 @@ patches is still one segment.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from itertools import compress
@@ -52,8 +53,15 @@ class LabeledRaster:
 
     def __post_init__(self):
         raw = np.asarray(self.labels)
-        # The cast would truncate a fraction and turn NaN or infinity into
-        # an arbitrary integer.
+        # The cast would drop an imaginary part, parse strings and bytes,
+        # truncate a fraction and turn NaN or infinity into an arbitrary
+        # integer.
+        if raw.dtype.kind not in "biufO":
+            raise ValueError(f"labels of dtype {raw.dtype} are not integers")
+        if raw.dtype.kind == "O":
+            for value in raw.flat:
+                if not isinstance(value, numbers.Integral):
+                    raise ValueError(f"label {value!r} is not an integer")
         if raw.dtype.kind == "f":
             integral = np.isfinite(raw) & (raw == np.trunc(raw))
             if not integral.all():
@@ -177,23 +185,25 @@ def _parse_text_grid(data: bytes) -> LabeledRaster:
     except UnicodeDecodeError as exc:
         raise RasterFormatError(f"text grid is not valid UTF-8: {exc}") from None
 
-    lines = text.splitlines()
+    # Only the first line can be a header.  It ends at or before the first
+    # LF, so splitting that much gives the line ``str.splitlines`` would.
+    first = text.partition("\n")[0].splitlines()
     declared: tuple[int, int] | None = None
     start = 0
     offset = 0
-    if lines and lines[0].lstrip().startswith("#"):
-        m = _HEADER_RE.match(lines[0].strip().encode())
+    if first and first[0].lstrip().startswith("#"):
+        m = _HEADER_RE.match(first[0].strip().encode())
         if not m:
-            raise RasterFormatError(f"malformed header line {lines[0]!r}", row=1)
+            raise RasterFormatError(f"malformed header line {first[0]!r}", row=1)
         declared = (int(m.group(1)), int(m.group(2)))
         start = 1
         # The body starts after the header line and its line break (after
         # the CR of a CRLF, which leaves the body a blank first line).
-        offset = len(text[: len(lines[0]) + 1].encode())
+        offset = len(text[: len(first[0]) + 1].encode())
 
     grid = _read_plain_grid(data, offset)
     if grid is None:
-        grid = _parse_cells(lines, start)
+        grid = _parse_cells(text.splitlines(), start)
     height, width = grid.shape
     if declared is not None and (width, height) != declared:
         raise RasterFormatError(
@@ -344,13 +354,16 @@ def _parse_pgm(data: bytes) -> LabeledRaster:
             )
         values = []
         for i, tok in enumerate(body):
+            row, col = i // width + 1, i % width + 1
             if not tok.isdigit():
+                raise RasterFormatError(f"non-integer PGM value {tok!r}", row=row, col=col)
+            value = int(tok)
+            # Checked before the int64 cast, which a huge value would overflow.
+            if value > maxval:
                 raise RasterFormatError(
-                    f"non-integer PGM value {tok!r}",
-                    row=i // width + 1,
-                    col=i % width + 1,
+                    f"PGM value {value} exceeds maxval {maxval}", row=row, col=col
                 )
-            values.append(int(tok))
+            values.append(value)
         arr = np.array(values, dtype=np.int64).reshape(height, width)
     else:
         # P5: exactly one whitespace byte after maxval, then raw samples.
@@ -364,14 +377,13 @@ def _parse_pgm(data: bytes) -> LabeledRaster:
             )
         dtype = np.uint8 if itemsize == 1 else ">u2"
         arr = np.frombuffer(raw, dtype=dtype).astype(np.int64).reshape(height, width)
-
-    if arr.max(initial=0) > maxval:
-        flat = int(np.argmax(arr))
-        raise RasterFormatError(
-            f"PGM value {int(arr.max())} exceeds maxval {maxval}",
-            row=flat // width + 1,
-            col=flat % width + 1,
-        )
+        if arr.max(initial=0) > maxval:
+            flat = int(np.argmax(arr))
+            raise RasterFormatError(
+                f"PGM value {int(arr.max())} exceeds maxval {maxval}",
+                row=flat // width + 1,
+                col=flat % width + 1,
+            )
     return LabeledRaster(width=width, height=height, labels=arr)
 
 

@@ -2,11 +2,12 @@
 
 Everything here recomputes from first principles: text grids with one
 Python ``int()`` or ``str()`` per cell, segments from one full-raster mask
-per label, links by walking every ray pixel by pixel,
-group distances from the raw per-link pixel tuples, break points by
-literal max-over-prefix, and cumulative link areas by walking the whole
-merge subtree.  Nothing is shared with the optimized code paths beyond the
-public types and the link store accessors.
+per label, links by walking every ray pixel by pixel (each link's derived
+pixels are checked against the walk), group distances from the raw
+per-link pixel tuples, break points by literal max-over-prefix, and
+cumulative link areas by walking the whole merge subtree.  Nothing is
+shared with the optimized code paths beyond the public types and the link
+store accessors.
 """
 
 from __future__ import annotations
@@ -86,8 +87,11 @@ def walk_rays(raster, isols, max_ray: int | None = None) -> LinkStore:
                             target_isol=label,
                             direction=name,
                             origin_pixel=(px, py),
-                            interstitial=tuple(path),
+                            length=len(path),
                         )
+                        # The link derives its pixels from its ray; they
+                        # must be the ones this walk crossed.
+                        assert link.interstitial == tuple(path), (link, path)
                         found.setdefault((min(own, label), max(own, label)), []).append(
                             link
                         )

@@ -165,6 +165,16 @@ def test_run_command_rejects_label_beyond_int64(tmp_path):
     assert "(row 1, column 3)" in result.stderr
 
 
+def test_run_command_rejects_pgm_value_beyond_int64(tmp_path):
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"P2\n2 1\n255\n0 99999999999999999999\n")
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["run", "--input", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "(row 1, column 2)" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["run-input-dir", "run-out-file", "trace-input-dir"])
 def test_bad_paths_exit_2(tmp_path, case):
     scene = write_quad(tmp_path)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from crownmerge import (
     Hierarchy,
@@ -14,8 +14,14 @@ from crownmerge import (
     hierarchy_records,
 )
 
-from conftest import build_bundle, random_bundles
-from oracles import brute_force_merge_sequence, merge_sequence_of
+from conftest import build_bundle, label_rasters, max_rays, random_bundles
+from oracles import (
+    brute_force_a_cumulative,
+    brute_force_merge_params,
+    brute_force_merge_sequence,
+    merge_sequence_of,
+    walk_rays,
+)
 
 
 # The quad scene merges:  iteration 1 joins {1} and {4} (distance 2, the
@@ -170,6 +176,24 @@ def test_merge_sequence_matches_brute_force_oracle(bundle):
     assert merge_sequence_of(bundle.hierarchy) == brute_force_merge_sequence(
         bundle.isols, bundle.store
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_rasters(), max_rays)
+@example(LabeledRaster.from_array([[1, 2, 0, 3, 0, 0, 1]]), None)  # touching, then a fold
+@example(LabeledRaster.from_array([[5, 0, 0, 0, 7], [0, 0, 9, 0, 0]]), 1)  # capped rays
+def test_agglomerate_matches_oracles_on_raw_rasters(raster, max_ray):
+    # The oracles rescan links found by walking every ray, not by casting.
+    bundle = build_bundle(raster, max_ray=max_ray)
+    h = bundle.hierarchy
+    walked = walk_rays(raster, bundle.isols, max_ray=max_ray)
+    assert merge_sequence_of(h) == brute_force_merge_sequence(bundle.isols, walked)
+    for node_id in h.merge_node_ids():
+        node = h.node(node_id)
+        assert (node.merge_distance, node.link_count, node.length_sum) == (
+            brute_force_merge_params(h, walked, node_id)
+        )
+        assert node.a_cumulative == brute_force_a_cumulative(h, walked, node_id)
 
 
 def test_lattice_ties_follow_smallest_member_pair():

@@ -225,10 +225,10 @@ def test_group_distance_rejects_empty(quad):
 # ---------------------------------------------------------------------------
 
 
-def _link(a: int, b: int) -> ConnectiveLink:
+def _link(a: int, b: int, direction: str = "E", length: int = 1) -> ConnectiveLink:
     return ConnectiveLink(
-        origin_isol=a, target_isol=b, direction="E",
-        origin_pixel=(0, 0), interstitial=((1, 0),),
+        origin_isol=a, target_isol=b, direction=direction,
+        origin_pixel=(0, 0), length=length,
     )
 
 
@@ -245,6 +245,16 @@ def test_store_rejects_empty_link_list():
 def test_store_rejects_misfiled_link():
     with pytest.raises(ValueError, match="filed under"):
         LinkStore({(1, 2): [_link(1, 3)]})
+
+
+def test_store_rejects_unknown_direction():
+    with pytest.raises(ValueError, match="unknown direction 'EAST'"):
+        LinkStore({(1, 2): [_link(1, 2), _link(2, 1, direction="EAST")]})
+
+
+def test_store_rejects_negative_length():
+    with pytest.raises(ValueError, match="negative length -1"):
+        LinkStore({(1, 2): [_link(1, 2, length=-1)]})
 
 
 def test_dump_links_csv(quad):

@@ -291,6 +291,13 @@ def test_pgm_ascii_value_above_maxval_rejected():
         load_raster(io.BytesIO(b"P2\n2 1\n3\n0 4\n"), FORMAT_PGM)
 
 
+def test_pgm_ascii_value_beyond_int64_is_located():
+    data = b"P2\n2 1\n255\n0 99999999999999999999\n"
+    with pytest.raises(RasterFormatError, match="exceeds maxval 255") as info:
+        load_raster(io.BytesIO(data), FORMAT_PGM)
+    assert (info.value.row, info.value.col) == (1, 2)
+
+
 def test_pgm_ascii_wrong_value_count_rejected():
     with pytest.raises(RasterFormatError, match="expected 4"):
         load_raster(io.BytesIO(b"P2\n2 2\n5\n1 2 3\n"), FORMAT_PGM)
@@ -362,6 +369,35 @@ def test_raster_rejects_non_integral_float_label(label):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="is not an integer"):
             LabeledRaster.from_array([[0, label]])
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([[0, 1.5]], dtype=object),
+        np.array([[0, 2.0]], dtype=object),
+        np.array([[0, "7"]], dtype=object),
+        np.array([[0, None]], dtype=object),
+        np.array([[0, 1 + 0j]]),
+        np.array([[0, 2 + 3j]]),
+        [["0", "7"]],
+        np.array([[b"0", b"7"]]),
+    ],
+    ids=[
+        "object-fraction", "object-float", "object-str", "object-none",
+        "complex-real", "complex", "str", "bytes",
+    ],
+)
+def test_raster_rejects_non_integer_label(labels):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not an integer|not integers"):
+            LabeledRaster.from_array(labels)
+
+
+def test_raster_accepts_object_integer_labels():
+    raster = LabeledRaster.from_array(np.array([[0, 7, np.int64(2**63 - 1)]], dtype=object))
+    assert raster.labels.tolist() == [[0, 7, 2**63 - 1]]
 
 
 def test_raster_accepts_integral_float_labels():
