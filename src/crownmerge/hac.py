@@ -5,7 +5,8 @@ nothing connective is left, producing a binary merge forest.  Group-to-group
 distance is the size of the union of all link-pixel sets between their
 members, so it is not additive.  Each group keeps a map from every linked
 neighbour to their pair's pixel union; a merge folds the smaller map into
-the larger one, uniting the pixel sets of neighbours both sides share.  A
+the larger one and, for a neighbour both sides share, adds the smaller of
+its two pixel sets into the larger (``agglomerate`` owns every set).  A
 min-heap of pairs, keyed by distance and then by the two groups' minimum
 segment ids, picks each merge; items of retired groups are skipped when
 popped (lazy invalidation).  No two active groups share a minimum segment
@@ -161,7 +162,9 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     ids, and ids are never reused, so stale items are simply skipped when
     popped.  Two active groups never share a minimum member, so the heap
     orders live pairs exactly as a full scan for the smallest
-    ``(distance, tie key)`` would.
+    ``(distance, tie key)`` would.  Each pixel set (an entry's, built by
+    ``store.pair_union``, or a group's cumulative one) has one owner, so
+    folds add the smaller set into the larger in place and copy none.
     """
     ordered = sorted(isols, key=lambda isol: isol.id)
     singleton_ids = {isol.id: idx for idx, isol in enumerate(ordered)}
@@ -169,13 +172,11 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
         HierarchyNode(id=idx, members=frozenset({isol.id}))
         for idx, isol in enumerate(ordered)
     ]
-    n_singletons = len(nodes)
 
     # The active groups; min_member[g] is the tie key of group g.
     min_member: dict[int, int] = {idx: isol.id for idx, isol in enumerate(ordered)}
     # An entry existing means "linked", so a touching pair keeps its
-    # (empty) pixel set and distance 0.  Pixel sets stay the frozensets
-    # pair_union builds until a fold first unites another set into one.
+    # (empty) pixel set and distance 0.
     neighbours: dict[int, dict[int, list]] = {n.id: {} for n in nodes}
     heap: list[tuple[int, int, int, int, int]] = []
     for a, b in store.pairs():
@@ -187,27 +188,22 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     # Link pixels of every merge below each active group.
     cumulative: dict[int, set[PixelCoord]] = {n.id: set() for n in nodes}
 
-    iteration = 0
     while heap:
         _, _, _, left, right = heapq.heappop(heap)
         if left not in min_member or right not in min_member:
             continue
-        iteration += 1
-        new_id = n_singletons - 1 + iteration
+        new_id = len(nodes)
         merge_pixels, link_count, length_sum = neighbours[left].pop(right)
         del neighbours[right][left]
-        covered, smaller = cumulative.pop(left), cumulative.pop(right)
-        if len(covered) < len(smaller):
-            covered, smaller = smaller, covered
-        covered |= smaller
-        covered |= merge_pixels
-        cumulative[new_id] = covered
+        merge_distance = len(merge_pixels)  # before _unite may grow the set
+        covered = _unite(cumulative.pop(left), cumulative.pop(right))
+        cumulative[new_id] = covered = _unite(covered, merge_pixels)
         merged = HierarchyNode(
             id=new_id,
             members=nodes[left].members | nodes[right].members,
             ancestors=(left, right),
-            merge_iteration=iteration,
-            merge_distance=len(merge_pixels),
+            merge_iteration=new_id - len(ordered) + 1,
+            merge_distance=merge_distance,
             link_count=link_count,
             length_sum=length_sum,
             a_cumulative=len(covered),
@@ -222,17 +218,11 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
         if len(folded) < len(small):
             folded, small = small, folded
         for other, entry in small.items():
-            kept = folded.get(other)
-            if kept is None:
-                folded[other] = entry
-                continue
-            if len(kept[0]) < len(entry[0]):
-                kept[0], entry[0] = entry[0], kept[0]
-            if isinstance(kept[0], frozenset):
-                kept[0] = set(kept[0])
-            kept[0] |= entry[0]
-            kept[1] += entry[1]
-            kept[2] += entry[2]
+            kept = folded.setdefault(other, entry)
+            if kept is not entry:
+                kept[0] = _unite(kept[0], entry[0])
+                kept[1] += entry[1]
+                kept[2] += entry[2]
         new_min = min(min_member.pop(left), min_member.pop(right))
         for other, entry in folded.items():
             theirs = neighbours[other]
@@ -247,6 +237,14 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
         min_member[new_id] = new_min
 
     return Hierarchy(nodes, singleton_ids)
+
+
+def _unite(a: set[PixelCoord], b: set[PixelCoord]) -> set[PixelCoord]:
+    """Add the smaller set into the larger and return the larger."""
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
 
 
 def hierarchy_records(hierarchy: Hierarchy) -> list[dict]:

@@ -99,10 +99,10 @@ class LinkStore:
     def links_between(self, a: int, b: int) -> tuple[ConnectiveLink, ...]:
         return self._links.get(_key(a, b), ())
 
-    def pair_union(self, a: int, b: int) -> frozenset[PixelCoord]:
-        """Distinct interstitial pixels over all links of the pair."""
+    def pair_union(self, a: int, b: int) -> set[PixelCoord]:
+        """Distinct interstitial pixels over the pair's links, in a new set the caller owns."""
         links = self.links_between(a, b)
-        return frozenset(chain.from_iterable(link.interstitial for link in links))
+        return set(chain.from_iterable(link.interstitial for link in links))
 
     def link_stats(self, a: int, b: int) -> tuple[int, int]:
         """(link count, summed link length) for the pair; (0, 0) if unlinked."""

@@ -71,6 +71,10 @@ class LabeledRaster:
         # overflow in the cast.  ``2**63`` compares exactly against all three.
         if raw.size and raw.dtype.kind in "uOf" and raw.max() >= 2**63:
             raise ValueError(f"label {raw.max()} does not fit in int64")
+        # Negative labels are rejected before the cast too: one below -2**63
+        # would overflow it, and a float one would warn.
+        if raw.size and raw.min() < 0:
+            raise ValueError("labels must be non-negative")
         arr = np.array(raw, dtype=np.int64, copy=True)
         if arr.ndim != 2:
             raise ValueError("labels must be a 2-D array")
@@ -81,8 +85,6 @@ class LabeledRaster:
             )
         if self.width < 1 or self.height < 1:
             raise ValueError("raster must be at least 1x1")
-        if arr.min() < 0:
-            raise ValueError("labels must be non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
 
@@ -337,7 +339,7 @@ def _parse_pgm(data: bytes) -> LabeledRaster:
         tok = data[pos:end]
         if not tok.isdigit():
             raise RasterFormatError(f"bad PGM header token {tok!r}")
-        tokens.append(int(tok))
+        tokens.append(_pgm_int(tok))
         pos = end
 
     width, height, maxval = tokens
@@ -357,7 +359,7 @@ def _parse_pgm(data: bytes) -> LabeledRaster:
             row, col = i // width + 1, i % width + 1
             if not tok.isdigit():
                 raise RasterFormatError(f"non-integer PGM value {tok!r}", row=row, col=col)
-            value = int(tok)
+            value = _pgm_int(tok, row, col)
             # Checked before the int64 cast, which a huge value would overflow.
             if value > maxval:
                 raise RasterFormatError(
@@ -385,6 +387,16 @@ def _parse_pgm(data: bytes) -> LabeledRaster:
                 col=flat % width + 1,
             )
     return LabeledRaster(width=width, height=height, labels=arr)
+
+
+def _pgm_int(tok: bytes, row: int | None = None, col: int | None = None) -> int:
+    """The value of a PGM digit token; ``int()`` refuses over 4300 digits."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise RasterFormatError(
+            f"PGM number of {len(tok)} digits is too long", row=row, col=col
+        ) from None
 
 
 # ---------------------------------------------------------------------------

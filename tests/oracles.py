@@ -172,6 +172,16 @@ def strict_record_breakpoints(raw_values) -> set[int]:
     return {j for j in range(1, len(d)) if d[j] > max(d[:j])}
 
 
+#: Each named parameter stream read straight off a merge node's params.
+STREAM_VALUES = {
+    "a_merge": lambda p: float(p.a_merge),
+    "lw_over_acum": lambda p: p.lw_ratio / p.a_cumulative if p.a_cumulative else 0.0,
+    "n_pix": lambda p: float(p.n_pix),
+    "n_edge": lambda p: float(p.n_edge),
+    "a_cumulative": lambda p: float(p.a_cumulative),
+}
+
+
 def brute_force_merge_params(
     hierarchy: Hierarchy, store: LinkStore, node_id: int
 ) -> tuple[int, int, int]:

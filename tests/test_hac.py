@@ -9,7 +9,11 @@ from crownmerge import (
     Hierarchy,
     HierarchyNode,
     LabeledRaster,
+    agglomerate,
     by_id,
+    cast_rays,
+    extract_isols,
+    generate_random,
     group_pixels,
     hierarchy_records,
 )
@@ -194,6 +198,25 @@ def test_agglomerate_matches_oracles_on_raw_rasters(raster, max_ray):
             brute_force_merge_params(h, walked, node_id)
         )
         assert node.a_cumulative == brute_force_a_cumulative(h, walked, node_id)
+
+
+def _node_quantities(h):
+    return [
+        (n.merge_distance, n.link_count, n.length_sum, n.a_cumulative) for n in h.nodes()
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_agglomerate_twice_on_one_store_is_identical(seed):
+    # agglomerate grows the pixel sets pair_union hands it, so a second run
+    # on the same store differs if the store ever hands out one set twice.
+    scene = generate_random(seed, n_isols=16, size=48)
+    isols = extract_isols(scene.raster)
+    store = cast_rays(scene.raster, isols)
+    first, second = agglomerate(isols, store), agglomerate(isols, store)
+    assert len(first.merge_node_ids()) > 3
+    assert hierarchy_records(second) == hierarchy_records(first)
+    assert _node_quantities(second) == _node_quantities(first)
 
 
 def test_lattice_ties_follow_smallest_member_pair():

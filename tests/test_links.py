@@ -86,6 +86,20 @@ def test_quad_link_stats(quad):
     assert quad.store.link_stats(2, 4) == (0, 0)
 
 
+def test_pair_union_is_a_new_set_on_each_call():
+    # The caller owns each result: changing one changes nothing in the store.
+    store = scene(QUAD_GRID).store
+    want = {(3, 2), (4, 3), (5, 4), (3, 3), (4, 4), (5, 5)}
+    first = store.pair_union(1, 3)
+    first.clear()
+    first.add((0, 0))
+    second = store.pair_union(1, 3)
+    assert second == want and second is not first
+    second |= store.pair_union(1, 2)
+    assert store.pair_union(1, 3) == want
+    assert store.link_stats(1, 3) == (4, 12)
+
+
 def test_quad_both_endpoints_cast(quad):
     origins = {link.origin_isol for link in quad.store.links_between(1, 4)}
     assert origins == {1, 4}

@@ -298,6 +298,23 @@ def test_pgm_ascii_value_beyond_int64_is_located():
     assert (info.value.row, info.value.col) == (1, 2)
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"P2\n" + b"1" * 5000 + b" 1\n255\n0\n", (None, None)),
+        (b"P5\n1 1\n" + b"2" * 5000 + b"\n\x00", (None, None)),
+        (b"P2\n2 1\n255\n0 " + b"9" * 5000 + b"\n", (1, 2)),
+        (b"P2\n2 1\n255\n0 " + b"0" * 5000 + b"7\n", (1, 2)),
+    ],
+    ids=["width", "maxval", "sample", "sample-leading-zeros"],
+)
+def test_pgm_token_beyond_int_digit_limit_is_format_error(data, where):
+    # int() refuses more than 4300 digits with a plain ValueError.
+    with pytest.raises(RasterFormatError) as info:
+        load_raster(io.BytesIO(data), FORMAT_PGM)
+    assert (info.value.row, info.value.col) == where
+
+
 def test_pgm_ascii_wrong_value_count_rejected():
     with pytest.raises(RasterFormatError, match="expected 4"):
         load_raster(io.BytesIO(b"P2\n2 2\n5\n1 2 3\n"), FORMAT_PGM)
@@ -344,8 +361,20 @@ def test_raster_rejects_shape_mismatch():
 
 
 def test_raster_rejects_negative_labels():
-    with pytest.raises(ValueError, match="non-negative"):
-        LabeledRaster.from_array([[0, -3]])
+    cases = [
+        [[0, -3]],
+        [[0, -(10**20)]],
+        np.array([[0, -(2**63) - 1]], dtype=object),
+        [[0.0, -1e30]],
+        [[0.0, -(2.0**64)]],
+    ]
+    # Checked before the int64 cast, which would overflow or warn on all
+    # but the first.
+    for labels in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-negative"):
+                LabeledRaster.from_array(labels)
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,14 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import example, given, settings
 
 from crownmerge import (
     BreakCounts,
     LabeledRaster,
+    NAMED_STREAMS,
+    NodeParams,
+    by_id,
     compute_params,
     count_breaks,
     cumulative_max,
@@ -22,13 +26,67 @@ from crownmerge import (
 )
 from crownmerge.termination import dump_histogram_csv, dump_trace_csv
 
-from conftest import build_bundle
+from conftest import build_bundle, label_rasters, max_rays
+import oracles
 
 
 @pytest.fixture(scope="module")
 def quad_stream(quad):
     params = compute_params(quad.hierarchy, quad.isols)
     return parameter_stream(quad.hierarchy, params, "a_merge")
+
+
+# ---------------------------------------------------------------------------
+# differential: raw rasters through params and termination
+# ---------------------------------------------------------------------------
+
+
+def _oracle_params(raster, hierarchy, max_ray) -> dict[int, NodeParams]:
+    """Every node's params from walked links and mask-extracted segments."""
+    isols = by_id(oracles.brute_force_isols(raster))
+    walked = oracles.walk_rays(raster, list(isols.values()), max_ray=max_ray)
+    out = {}
+    for node in hierarchy.nodes():
+        sizes = dict(
+            n_pix=sum(len(isols[m].pixels) for m in node.members),
+            n_edge=sum(len(isols[m].edge_pixels) for m in node.members),
+        )
+        if node.is_singleton:
+            out[node.id] = NodeParams(**sizes)
+            continue
+        a_merge, count, total = oracles.brute_force_merge_params(hierarchy, walked, node.id)
+        l_hat = total / count
+        out[node.id] = NodeParams(
+            **sizes,
+            a_merge=a_merge,
+            l_hat=l_hat,
+            lw_ratio=l_hat * l_hat / a_merge if a_merge else 0.0,
+            a_cumulative=oracles.brute_force_a_cumulative(hierarchy, walked, node.id),
+        )
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_rasters(), max_rays)
+@example(LabeledRaster.from_array([[1, 0, 2, 0, 0, 3, 0, 0, 0, 4]]), None)  # widening gaps
+def test_params_and_breakpoints_match_oracles_on_raw_rasters(raster, max_ray):
+    assert set(oracles.STREAM_VALUES) == set(NAMED_STREAMS)
+    bundle = build_bundle(raster, max_ray=max_ray)
+    h = bundle.hierarchy
+    params = compute_params(h, bundle.isols)
+    want = _oracle_params(raster, h, max_ray)
+    assert params == want
+    for name in NAMED_STREAMS:
+        values = {n: oracles.STREAM_VALUES[name](want[n]) for n in h.merge_node_ids()}
+        stream = parameter_stream(h, params, name)
+        assert stream == values
+        traces = trace_all(h, stream)
+        assert [t.start for t in traces] == list(h.singleton_node_ids())
+        for trace in traces:
+            path = h.path_from(trace.start)
+            raw = [0.0] + [values[n] for n in path[1:]]
+            assert trace.nodes == tuple(path)
+            assert trace.breakpoints == oracles.strict_record_breakpoints(raw)
 
 
 # ---------------------------------------------------------------------------
