@@ -6,7 +6,9 @@ distance is the size of the union of all link-pixel sets between their
 members, so it is not additive.  Each group keeps a map from every linked
 neighbour to their pair's pixel union; a merge folds the smaller map into
 the larger one and, for a neighbour both sides share, adds the smaller of
-its two pixel sets into the larger (``agglomerate`` owns every set).  A
+its two pixel sets into the larger (``agglomerate`` owns every set).  The
+sets hold flat pixel indices, built for all pairs in one vectorised pass
+over the link rays, and only their sizes leave ``agglomerate``.  A
 min-heap of pairs, keyed by distance and then by the two groups' minimum
 segment ids, picks each merge; items of retired groups are skipped when
 popped (lazy invalidation).  No two active groups share a minimum segment
@@ -162,9 +164,12 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     ids, and ids are never reused, so stale items are simply skipped when
     popped.  Two active groups never share a minimum member, so the heap
     orders live pairs exactly as a full scan for the smallest
-    ``(distance, tie key)`` would.  Each pixel set (an entry's, built by
-    ``store.pair_union``, or a group's cumulative one) has one owner, so
-    folds add the smaller set into the larger in place and copy none.
+    ``(distance, tie key)`` would.  Each pixel set (an entry's, or a
+    group's cumulative one) has one owner, so folds add the smaller set
+    into the larger in place and copy none.  The sets hold flat pixel
+    indices: the entries come from one vectorised pass over all link rays
+    (``LinkStore._flat_pair_unions``), and only set sizes leave this
+    function, as merge distances and ``a_cumulative``.
     """
     ordered = sorted(isols, key=lambda isol: isol.id)
     singleton_ids = {isol.id: idx for idx, isol in enumerate(ordered)}
@@ -179,14 +184,13 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     # (empty) pixel set and distance 0.
     neighbours: dict[int, dict[int, list]] = {n.id: {} for n in nodes}
     heap: list[tuple[int, int, int, int, int]] = []
-    for a, b in store.pairs():
+    for (a, b), pixels, link_count, length_sum in store._flat_pair_unions()[1]:
         lo, hi = singleton_ids[a], singleton_ids[b]
-        entry = [store.pair_union(a, b), *store.link_stats(a, b)]
-        neighbours[lo][hi] = neighbours[hi][lo] = entry
-        heap.append((len(entry[0]), a, b, lo, hi))
+        neighbours[lo][hi] = neighbours[hi][lo] = [pixels, link_count, length_sum]
+        heap.append((len(pixels), a, b, lo, hi))
     heapq.heapify(heap)
     # Link pixels of every merge below each active group.
-    cumulative: dict[int, set[PixelCoord]] = {n.id: set() for n in nodes}
+    cumulative: dict[int, set[int]] = {n.id: set() for n in nodes}
 
     while heap:
         _, _, _, left, right = heapq.heappop(heap)
@@ -239,7 +243,7 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     return Hierarchy(nodes, singleton_ids)
 
 
-def _unite(a: set[PixelCoord], b: set[PixelCoord]) -> set[PixelCoord]:
+def _unite(a: set[int], b: set[int]) -> set[int]:
     """Add the smaller set into the larger and return the larger."""
     if len(a) < len(b):
         a, b = b, a

@@ -66,7 +66,10 @@ class LinkStore:
     """All links of a scene, grouped by unordered segment pair.
 
     A link is its ray, so per-pair pixel unions and length sums are
-    computed from the links on each call.
+    computed from the links on each call.  ``pair_union`` gives one pair's
+    ``(x, y)`` pixels; ``agglomerate`` instead seeds every pair at once
+    from ``_flat_pair_unions``: sets of flat pixel indices, built in one
+    vectorised pass over all links, whose sizes are all that leaves it.
     """
 
     def __init__(self, links_by_pair: Mapping[tuple[int, int], Sequence[ConnectiveLink]]):
@@ -108,6 +111,65 @@ class LinkStore:
         """(link count, summed link length) for the pair; (0, 0) if unlinked."""
         links = self.links_between(a, b)
         return len(links), sum(link.length for link in links)
+
+    def _flat_pair_unions(self) -> tuple[int, list[tuple[tuple[int, int], set[int], int, int]]]:
+        """``(span, rows)``: one row ``(pair, pixels, link count, length sum)``
+        per linked pair, sorted by pair, built in one vectorised pass.
+
+        ``pixels`` is ``pair_union`` as flat indices ``y * span + x`` in a
+        new set the caller owns; ``span`` is one more than the largest x of
+        any link's origin or far end, so it bounds every footprint x.
+        Each footprint ``origin + step * (1..length)`` is expanded for all
+        links at once, keyed ``pair * size + flat`` and deduplicated by a
+        sort and a neighbour mask (``np.unique`` is far slower on wide keys).
+        """
+        pairs = self.pairs()
+        if not pairs:
+            return 1, []
+        counts = [len(self._links[pair]) for pair in pairs]
+        cols = np.fromiter(
+            chain.from_iterable(
+                (*link.origin_pixel, *_STEPS[link.direction], link.length)
+                for pair in pairs
+                for link in self._links[pair]
+            ),
+            dtype=np.int64,
+            count=5 * sum(counts),
+        ).reshape(-1, 5)
+        ox, oy, dx, dy, length = cols.T
+        far_x, far_y = ox + dx * length, oy + dy * length
+        if min(ox.min(), oy.min(), far_x.min(), far_y.min()) < 0:
+            raise ValueError("link pixels must have non-negative coordinates")
+        span = int(max(ox.max(), far_x.max())) + 1
+        size = span * (int(max(oy.max(), far_y.max())) + 1)
+        if len(pairs) * size > np.iinfo(np.int64).max:
+            raise ValueError(f"{len(pairs)} pairs of {size} pixels overflow int64 keys")
+
+        # Pixel k (1-based) of a link is keyed pair * size + origin + step * k:
+        # a cumsum of each pixel's step, where a link's first step jumps
+        # from the previous link's last key.
+        step = dy * span + dx
+        origin = np.repeat(np.arange(len(pairs)), counts) * size + oy * span + ox
+        drawn = length > 0
+        first, last = (origin + step)[drawn], (origin + step * length)[drawn]
+        keys = np.repeat(step, length)
+        keys[(np.cumsum(length) - length)[drawn]] = first - np.append(0, last[:-1])
+        np.cumsum(keys, out=keys)
+        keys.sort()
+        distinct = np.ones(keys.size, dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        keys = keys[distinct]
+        del distinct
+        bounds = np.searchsorted(keys, np.arange(len(pairs) + 1) * size).tolist()
+        flat = np.remainder(keys, size, out=keys).tolist()
+        del keys
+        # reduceat keeps the sums exact int64; every pair has a link.
+        sums = np.add.reduceat(length, np.cumsum(counts) - counts).tolist()
+        rows = [
+            (pair, set(flat[lo:hi]), count, total)
+            for pair, lo, hi, count, total in zip(pairs, bounds, bounds[1:], counts, sums)
+        ]
+        return span, rows
 
     def __len__(self) -> int:
         return len(self._links)

@@ -8,6 +8,7 @@ patches is still one segment.
 
 from __future__ import annotations
 
+import codecs
 import numbers
 import re
 from dataclasses import dataclass
@@ -163,6 +164,8 @@ def load_raster(stream: BinaryIO, fmt: str) -> LabeledRaster:
         RasterFormatError: malformed content, with row/column where known.
     """
     data = stream.read()
+    if data.startswith(codecs.BOM_UTF8):
+        raise RasterFormatError("file starts with a UTF-8 byte-order mark; save it without one")
     if fmt == FORMAT_TEXT_GRID:
         return _parse_text_grid(data)
     if fmt == FORMAT_PGM:
@@ -368,11 +371,12 @@ def _parse_pgm(data: bytes) -> LabeledRaster:
             values.append(value)
         arr = np.array(values, dtype=np.int64).reshape(height, width)
     else:
-        # P5: exactly one whitespace byte after maxval, then raw samples.
+        # P5: exactly one whitespace byte after maxval, then raw samples
+        # to the end of the file, which holds one image.
         pos += 1
         itemsize = 1 if maxval < 256 else 2
         need = width * height * itemsize
-        raw = data[pos : pos + need]
+        raw = data[pos:]
         if len(raw) != need:
             raise RasterFormatError(
                 f"PGM payload has {len(raw)} bytes, expected {need}"

@@ -193,6 +193,50 @@ def test_cast_rays_matches_pixel_walk_oracle(raster, max_ray, reverse):
             assert all(type(v) is int for px in link.interstitial for v in px)
 
 
+@settings(max_examples=200, deadline=None)
+@given(label_rasters(), max_rays)
+@example(LabeledRaster.from_array([[1, 2]]), None)  # touching: an empty set
+@example(LabeledRaster.from_array([[0, 1, 0]]), None)  # no links at all
+@example(LabeledRaster.from_array([[1, 0, 0, 2, 0, 3, 0, 1]]), None)  # 1xN
+@example(LabeledRaster.from_array([[1], [0], [0], [2], [0], [3], [0], [1]]), 2)  # Nx1
+@example(LabeledRaster.from_array([[1, 0, 2], [0, 0, 0], [3, 0, 4]]), None)  # row 0, column 0
+def test_flat_pair_unions_match_pair_union_and_link_stats(raster, max_ray):
+    store = cast_rays(raster, extract_isols(raster), max_ray=max_ray)
+    span, rows = store._flat_pair_unions()
+    assert [pair for pair, *_ in rows] == list(store.pairs())
+    for pair, pixels, link_count, length_sum in rows:
+        assert all(type(flat) is int for flat in pixels)
+        xy = {(x, y) for y, x in (divmod(flat, span) for flat in pixels)}
+        assert xy == store.pair_union(*pair)
+        assert (link_count, length_sum) == store.link_stats(*pair)
+
+
+def test_flat_pair_unions_of_touching_pair_are_empty_but_linked():
+    store = scene([[1, 2]]).store
+    assert store._flat_pair_unions()[1] == [((1, 2), set(), 2, 0)]
+
+
+def test_flat_pair_unions_span_covers_far_ends():
+    # Cast rays always come in mirrored pairs; a store built by hand need
+    # not, so the span must bound the far end of a one-way link too.
+    store = LinkStore({(1, 2): [ConnectiveLink(1, 2, "SE", (0, 0), 3)]})
+    assert store._flat_pair_unions() == (4, [((1, 2), {5, 10, 15}, 1, 3)])
+
+
+@pytest.mark.parametrize(
+    "link, message",
+    [
+        (ConnectiveLink(1, 2, "W", (0, 0), 1), "non-negative"),
+        (ConnectiveLink(1, 2, "E", (2**40, 2**40), 1), "overflow int64"),
+    ],
+)
+def test_flat_pair_unions_reject_unkeyable_pixels(link, message):
+    # Pixels off the raster's quadrant would collide as flat indices, and
+    # too wide a bounding box would overflow the pair-major keys.
+    with pytest.raises(ValueError, match=message):
+        LinkStore({(1, 2): [link]})._flat_pair_unions()
+
+
 def test_no_connection_is_infinite():
     assert NO_CONNECTION == math.inf
     assert NO_CONNECTION > 10**12

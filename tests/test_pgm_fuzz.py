@@ -1,22 +1,35 @@
-"""Fuzzing the PGM reader: well-formed P2/P5 encodings of small grids read
-back exactly, and every byte-level mutation of one either reads as some
-raster or fails as a ``RasterFormatError``, which ``run`` turns into exit
-code 2 without creating ``--out``.
+"""Fuzzing the raster readers: well-formed P2/P5 encodings of small grids
+read back exactly, and every byte-level mutation of one either reads as
+some raster or fails as a ``RasterFormatError``, which ``run`` turns into
+exit code 2 without creating ``--out``.  A mutation that changes a P5
+payload's length never reads, and neither does a PGM or text-grid file
+that starts with a UTF-8 byte-order mark.
 """
 
 from __future__ import annotations
 
+import codecs
 import io
 import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crownmerge import FORMAT_PGM, RasterFormatError, load_raster
+from crownmerge import (
+    FORMAT_PGM,
+    FORMAT_TEXT_GRID,
+    RasterFormatError,
+    dump_text_grid,
+    load_raster,
+    sniff_format,
+)
 from crownmerge.cli import main
+
+from conftest import label_rasters
 
 MAXVALS = (1, 255, 256, 65535)
 LINE_ENDS = (b"\n", b"\r", b"\r\n")
@@ -62,35 +75,67 @@ def pgm_files(draw) -> tuple[bytes, int, list[list[int]]]:
 
 
 @st.composite
-def mutated_pgm_files(draw) -> bytes:
-    """A PGM encoding truncated, with a byte dropped or duplicated, with a
-    ``#`` spliced in, or with one header digit changed.
+def mutated_pgm_files(draw) -> tuple[bytes, bool]:
+    """``(encoding, resized)``: a PGM encoding truncated, with a byte dropped
+    or duplicated, with a ``#`` spliced in, or with one header digit changed.
 
     Positions are drawn uniformly, and past the magic number except for
     truncation, so that most mutations reach the header tokens and samples.
+    ``resized`` says the mutation changed a P5 payload's length: any
+    truncation, or a byte dropped, duplicated or spliced in at or after the
+    header's last whitespace byte.
     """
     data, header_len, _ = draw(pgm_files())
     kind = draw(st.sampled_from(("truncate", "drop", "duplicate", "splice", "digit")))
+    p5 = data[:2] == b"P5"
     if kind == "truncate":
-        return data[: draw(st.sampled_from(range(len(data))))]
+        return data[: draw(st.sampled_from(range(len(data))))], p5
     if kind == "digit":
         digits = [i for i in range(2, header_len) if data[i : i + 1].isdigit()]
         i = draw(st.sampled_from(digits))
         new = draw(st.sampled_from(b"0123456789").filter(lambda d: d != data[i]))
-        return data[:i] + bytes([new]) + data[i + 1 :]
+        return data[:i] + bytes([new]) + data[i + 1 :], False
     i = draw(st.sampled_from(range(2, len(data))))
+    resized = p5 and i >= header_len - 1
     if kind == "drop":
-        return data[:i] + data[i + 1 :]
+        return data[:i] + data[i + 1 :], resized
     if kind == "duplicate":
-        return data[: i + 1] + data[i:]
-    return data[:i] + b"#" + data[i:]
+        return data[: i + 1] + data[i:], resized
+    return data[:i] + b"#" + data[i:], resized
 
 
-def _load(data: bytes):
+@st.composite
+def bom_files(draw) -> tuple[bytes, str]:
+    """``(encoding, --format)``: a well-formed P2/P5 file or text grid (with
+    or without its ``# W H`` header) behind a UTF-8 byte-order mark, read
+    as its own format or autodetected."""
+    if draw(st.booleans()):
+        data, fmt = draw(pgm_files())[0], FORMAT_PGM
+    else:
+        grid = dump_text_grid(draw(label_rasters()), header=draw(st.booleans()))
+        data, fmt = grid.encode(), FORMAT_TEXT_GRID
+    return codecs.BOM_UTF8 + data, draw(st.sampled_from((fmt, "auto")))
+
+
+def _load(data: bytes, fmt: str = FORMAT_PGM):
     """``load_raster`` with every warning raised as an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return load_raster(io.BytesIO(data), FORMAT_PGM)
+        return load_raster(io.BytesIO(data), fmt)
+
+
+def _assert_run_exits_2(data: bytes, fmt: str) -> None:
+    """``run --format fmt`` on ``data`` fails with exit code 2 and an
+    ``error:`` line, and creates no ``--out``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scene", Path(tmp) / "out"
+        path.write_bytes(data)
+        result = CliRunner().invoke(
+            main, ["run", "--input", str(path), "--format", fmt, "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ")
+        assert not out.exists()
 
 
 @settings(max_examples=300, deadline=None)
@@ -103,29 +148,30 @@ def test_pgm_encodings_read_back_exactly(case):
 
 @settings(max_examples=500, deadline=None)
 @given(mutated_pgm_files())
-def test_mutated_pgm_reads_or_fails_as_format_error(data):
+def test_mutated_pgm_reads_or_fails_as_format_error(case):
+    data, resized = case
     try:
         raster = _load(data)
     except RasterFormatError:
         return
+    assert not resized, "a P5 payload of the wrong length was read"
     assert raster.labels.min() >= 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(mutated_pgm_files())
-def test_run_rejects_malformed_pgm_with_exit_2_and_no_output(data):
+def test_run_rejects_malformed_pgm_with_exit_2_and_no_output(case):
+    data, _ = case
     try:
         _load(data)
     except RasterFormatError:
-        pass
-    else:
-        return
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "scene.pgm", Path(tmp) / "out"
-        path.write_bytes(data)
-        result = CliRunner().invoke(
-            main, ["run", "--input", str(path), "--format", "pgm", "--out", str(out)]
-        )
-        assert result.exit_code == 2, result.output
-        assert result.stderr.startswith("error: ")
-        assert not out.exists()
+        _assert_run_exits_2(data, FORMAT_PGM)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bom_files())
+def test_byte_order_mark_is_rejected_with_exit_2_and_no_output(case):
+    data, fmt = case
+    with pytest.raises(RasterFormatError, match="byte-order mark"):
+        _load(data, sniff_format(data[:64]) if fmt == "auto" else fmt)
+    _assert_run_exits_2(data, fmt)

@@ -340,6 +340,21 @@ def test_pgm_binary_truncated_payload_rejected():
         load_raster(io.BytesIO(b"P5\n2 2\n255\n\x00\x01"), FORMAT_PGM)
 
 
+@pytest.mark.parametrize(
+    "data, got, need",
+    [
+        (b"P5\n1 1\n255\n\x00\x07", 2, 1),  # a trailing sample
+        (b"P5\n1 1\n255\n\n\x00", 2, 1),  # the header's last whitespace doubled
+        (b"P5\n1 2\n65535\n\x00\x01\x00\x02\x00", 5, 4),  # half a sample more
+        (b"P5\n1 1\n1\n\x00P5\n1 1\n1\n\x01", 11, 1),  # a second image
+    ],
+)
+def test_pgm_binary_payload_beyond_declared_rejected(data, got, need):
+    # A file holds one image, so bytes past its samples are malformed.
+    with pytest.raises(RasterFormatError, match=f"payload has {got} bytes, expected {need}"):
+        load_raster(io.BytesIO(data), FORMAT_PGM)
+
+
 def test_pgm_bad_magic_rejected():
     with pytest.raises(RasterFormatError, match="magic"):
         load_raster(io.BytesIO(b"P7\n1 1\n1\n0"), FORMAT_PGM)
