@@ -6,8 +6,9 @@ in both axes, king-style) across interstitial label-0 pixels and either
 
 * leaves the raster           -> discarded,
 * returns to its own segment  -> discarded,
-* reaches another segment     -> recorded as a link, which is just the
-                                 ray; its pixels are derived where read.
+* reaches another segment     -> recorded as a link, one int64 row of
+                                 the ray table ``_COLUMNS``; its pixels
+                                 are derived where read.
 
 The connective distance between two segments is the number of distinct
 interstitial pixels covered by all their links together, so overlapping
@@ -20,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -39,7 +40,9 @@ DIRECTIONS: tuple[tuple[str, int, int], ...] = (
     ("NW", -1, -1),
 )
 
-_STEPS = {name: (dx, dy) for name, dx, dy in DIRECTIONS}
+_DIRECTION_INDEX = {name: d for d, (name, _, _) in enumerate(DIRECTIONS)}
+#: In ``ConnectiveLink`` field order, with a ``DIRECTIONS`` index; also the links.csv header.
+_COLUMNS = ("origin_isol", "target_isol", "direction", "origin_x", "origin_y", "length")
 
 #: Distance value for segment pairs without any connective link.
 NO_CONNECTION = math.inf
@@ -58,22 +61,25 @@ class ConnectiveLink:
 
     @property
     def interstitial(self) -> tuple[PixelCoord, ...]:
-        (px, py), (dx, dy), n = self.origin_pixel, _STEPS[self.direction], self.length
-        return tuple(zip(_steps(px, dx, n), _steps(py, dy, n)))
+        (px, py), (_, dx, dy) = self.origin_pixel, DIRECTIONS[_DIRECTION_INDEX[self.direction]]
+        return tuple((px + dx * k, py + dy * k) for k in range(1, self.length + 1))
 
 
 class LinkStore:
     """All links of a scene, grouped by unordered segment pair.
 
-    A link is its ray, so per-pair pixel unions and length sums are
-    computed from the links on each call.  ``pair_union`` gives one pair's
-    ``(x, y)`` pixels; ``agglomerate`` instead seeds every pair at once
-    from ``_flat_pair_unions``: sets of flat pixel indices, built in one
-    vectorised pass over all links, whose sizes are all that leaves it.
+    The links are one int64 ray table (every field must fit in int64),
+    stably sorted by pair so that each pair keeps its links in the order
+    given, beside a pair -> row range index.
+    ``links_between`` builds new, equal ``ConnectiveLink`` objects from
+    the rows on each call.  ``pair_union`` gives one pair's ``(x, y)``
+    pixels; ``agglomerate`` instead seeds every pair at once from
+    ``_flat_pair_unions``: sets of flat pixel indices, built in one
+    vectorised pass over the table, whose sizes are all that leaves it.
     """
 
     def __init__(self, links_by_pair: Mapping[tuple[int, int], Sequence[ConnectiveLink]]):
-        self._links: dict[tuple[int, int], tuple[ConnectiveLink, ...]] = {}
+        rows = []
         for pair, links in links_by_pair.items():
             a, b = pair
             if a >= b:
@@ -86,21 +92,57 @@ class LinkStore:
                         f"link {link.origin_isol}->{link.target_isol} "
                         f"filed under pair {pair}"
                     )
-                if link.direction not in _STEPS:
+                if link.direction not in _DIRECTION_INDEX:
                     raise ValueError(f"link has unknown direction {link.direction!r}")
-                if link.length < 0:
-                    raise ValueError(f"link has negative length {link.length}")
-            self._links[pair] = tuple(links)
+                (x, y), d = link.origin_pixel, _DIRECTION_INDEX[link.direction]
+                rows.append((link.origin_isol, link.target_isol, d, x, y, link.length))
+        table = np.empty((len(rows), len(_COLUMNS)), dtype=np.int64)
+        for j, column in enumerate(zip(*rows)):
+            try:
+                table[:, j] = column
+            except OverflowError:
+                raise ValueError(f"link {_COLUMNS[j]} does not fit in int64") from None
+        self._index(table)
+
+    @classmethod
+    def _from_table(cls, table: np.ndarray) -> LinkStore:
+        store = cls.__new__(cls)
+        store._index(table)
+        return store
+
+    def _index(self, table: np.ndarray) -> None:
+        """Check ``table``, sort its rows stably by pair and index each pair's rows."""
+        origin, target, direction, _, _, length = table.T
+        if (origin == target).any():
+            raise ValueError(f"link {origin[origin == target][0]} joins a segment to itself")
+        unknown = (direction < 0) | (direction >= len(DIRECTIONS))
+        if unknown.any():
+            raise ValueError(f"link has unknown direction index {direction[unknown][0]}")
+        if (length < 0).any():
+            raise ValueError(f"link has negative length {length[length < 0][0]}")
+        lo, hi = np.minimum(origin, target), np.maximum(origin, target)
+        order = np.lexsort((hi, lo))
+        self._table, lo, hi = table[order], lo[order], hi[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        starts = np.flatnonzero(first).tolist() + [len(order)]
+        pairs = zip(lo[first].tolist(), hi[first].tolist())
+        self._rows = dict(zip(pairs, map(slice, starts, starts[1:])))
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Linked segment pairs, sorted."""
-        return tuple(sorted(self._links))
+        return tuple(self._rows)
 
     def has_links(self, a: int, b: int) -> bool:
-        return _key(a, b) in self._links
+        return _key(a, b) in self._rows
 
     def links_between(self, a: int, b: int) -> tuple[ConnectiveLink, ...]:
-        return self._links.get(_key(a, b), ())
+        """The pair's links in stored order, as new objects; () if unlinked."""
+        rows = self._table[self._rows.get(_key(a, b), slice(0))].tolist()
+        return tuple(
+            ConnectiveLink(origin, target, DIRECTIONS[d][0], (x, y), n)
+            for origin, target, d, x, y, n in rows
+        )
 
     def pair_union(self, a: int, b: int) -> set[PixelCoord]:
         """Distinct interstitial pixels over the pair's links, in a new set the caller owns."""
@@ -109,8 +151,8 @@ class LinkStore:
 
     def link_stats(self, a: int, b: int) -> tuple[int, int]:
         """(link count, summed link length) for the pair; (0, 0) if unlinked."""
-        links = self.links_between(a, b)
-        return len(links), sum(link.length for link in links)
+        rows = self._table[self._rows.get(_key(a, b), slice(0))]
+        return len(rows), sum(rows[:, _COLUMNS.index("length")].tolist())
 
     def _flat_pair_unions(self) -> tuple[int, list[tuple[tuple[int, int], set[int], int, int]]]:
         """``(span, rows)``: one row ``(pair, pixels, link count, length sum)``
@@ -120,23 +162,15 @@ class LinkStore:
         new set the caller owns; ``span`` is one more than the largest x of
         any link's origin or far end, so it bounds every footprint x.
         Each footprint ``origin + step * (1..length)`` is expanded for all
-        links at once, keyed ``pair * size + flat`` and deduplicated by a
+        table rows at once, keyed ``pair * size + flat`` and deduplicated by a
         sort and a neighbour mask (``np.unique`` is far slower on wide keys).
         """
         pairs = self.pairs()
         if not pairs:
             return 1, []
-        counts = [len(self._links[pair]) for pair in pairs]
-        cols = np.fromiter(
-            chain.from_iterable(
-                (*link.origin_pixel, *_STEPS[link.direction], link.length)
-                for pair in pairs
-                for link in self._links[pair]
-            ),
-            dtype=np.int64,
-            count=5 * sum(counts),
-        ).reshape(-1, 5)
-        ox, oy, dx, dy, length = cols.T
+        counts = [rows.stop - rows.start for rows in self._rows.values()]
+        _, _, direction, ox, oy, length = self._table.T
+        dx, dy = np.array([step for _, *step in DIRECTIONS])[direction].T
         far_x, far_y = ox + dx * length, oy + dy * length
         if min(ox.min(), oy.min(), far_x.min(), far_y.min()) < 0:
             raise ValueError("link pixels must have non-negative coordinates")
@@ -172,7 +206,7 @@ class LinkStore:
         return span, rows
 
     def __len__(self) -> int:
-        return len(self._links)
+        return len(self._rows)
 
 
 def _key(a: int, b: int) -> tuple[int, int]:
@@ -207,34 +241,29 @@ def cast_rays(
     ray's first labelled pixel is then the next key above (or below) its
     origin's key, found for all edge pixels at once with one
     ``searchsorted`` per direction; it counts only if it lies on the same
-    line, and its label and distance follow from the key.  Links are built
-    only for rays that reach another segment within ``max_ray``, in the
+    line, and its label and distance follow from the key.  Only rays that
+    reach another segment within ``max_ray`` become ray-table rows, in the
     order of the segments as given, their sorted edge pixels, then
     ``DIRECTIONS``, so the link order is that of a pixel-by-pixel walk.
     """
     width, height = raster.width, raster.height
-    owners: list[int] = []
-    origins: list[PixelCoord] = []
-    for isol in isols:
-        edge = sorted(isol.edge_pixels)
-        origins.extend(edge)
-        owners.extend([isol.id] * len(edge))
+    edges = [sorted(isol.edge_pixels) for isol in isols]
+    counts = [len(edge) for edge in edges]
     flat = raster.labels.ravel()
     nonzero = np.flatnonzero(flat)
-    if not origins or not nonzero.size:
+    if not sum(counts) or not nonzero.size:
         return LinkStore({})
 
-    coords = np.fromiter(
-        chain.from_iterable(origins), dtype=np.int64, count=2 * len(origins)
-    )
+    pixels = chain.from_iterable(chain.from_iterable(edges))
+    coords = np.fromiter(pixels, dtype=np.int64, count=2 * sum(counts))
     ox, oy = coords[0::2], coords[1::2]
     ys, xs = np.divmod(nonzero, width)
     labelled = flat[nonzero]
-    own = np.array(owners, dtype=np.int64)
+    own = np.repeat(np.array([isol.id for isol in isols], dtype=np.int64), counts)
 
     # One sorted key array per axis, shared by its two opposite directions.
     axes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    target = np.zeros((len(origins), len(DIRECTIONS)), dtype=np.int64)
+    target = np.zeros((len(own), len(DIRECTIONS)), dtype=np.int64)
     length = np.zeros_like(target)
     reached = np.zeros(target.shape, dtype=bool)
     for d, (_, dx, dy) in enumerate(DIRECTIONS):
@@ -260,24 +289,11 @@ def cast_rays(
     if max_ray is not None:
         reached &= length <= max_ray
 
-    found: dict[tuple[int, int], list[ConnectiveLink]] = {}
     rays = np.flatnonzero(reached)
-    ray_origin, ray_direction = np.divmod(rays, len(DIRECTIONS))
-    for e, d, label, n in zip(
-        ray_origin.tolist(),
-        ray_direction.tolist(),
-        target.ravel()[rays].tolist(),
-        length.ravel()[rays].tolist(),
-    ):
-        link = ConnectiveLink(
-            origin_isol=owners[e],
-            target_isol=label,
-            direction=DIRECTIONS[d][0],
-            origin_pixel=origins[e],
-            length=n,
-        )
-        found.setdefault(_key(owners[e], label), []).append(link)
-    return LinkStore(found)
+    origin, direction = np.divmod(rays, len(DIRECTIONS))
+    return LinkStore._from_table(np.column_stack((
+        own[origin], target.ravel()[rays], direction, ox[origin], oy[origin], length.ravel()[rays]
+    )))
 
 
 def _line_keys(x, y, dx: int, dy: int, width: int, height: int):
@@ -291,13 +307,6 @@ def _line_keys(x, y, dx: int, dy: int, width: int, height: int):
     if dx == dy:
         return (x - y + height - 1) * width + x, width
     return (x + y) * width + x, width
-
-
-def _steps(start: int, step: int, n: int) -> Iterable[int]:
-    """The ``n`` coordinates after ``start`` moving by ``step``."""
-    if step:
-        return range(start + step, start + step * (n + 1), step)
-    return repeat(start, n)
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +350,10 @@ def group_distance(
 
 
 def dump_links_csv(store: LinkStore, stream: IO[str]) -> None:
-    """Debug dump: one row per link."""
+    """Debug dump: one row per link, straight from the ray table."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        ["origin_isol", "target_isol", "direction", "origin_x", "origin_y", "length"]
+    writer.writerow(_COLUMNS)
+    writer.writerows(
+        (origin, target, DIRECTIONS[d][0], x, y, n)
+        for origin, target, d, x, y, n in store._table.tolist()
     )
-    for pair in store.pairs():
-        for link in store.links_between(*pair):
-            writer.writerow(
-                [
-                    link.origin_isol,
-                    link.target_isol,
-                    link.direction,
-                    link.origin_pixel[0],
-                    link.origin_pixel[1],
-                    link.length,
-                ]
-            )

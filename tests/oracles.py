@@ -2,12 +2,12 @@
 
 Everything here recomputes from first principles: text grids with one
 Python ``int()`` or ``str()`` per cell, segments from one full-raster mask
-per label, links by walking every ray pixel by pixel (each link's derived
-pixels are checked against the walk), group distances from the raw
-per-link pixel tuples, break points by literal max-over-prefix, and
-cumulative link areas by walking the whole merge subtree.  Nothing is
-shared with the optimized code paths beyond the public types and the link
-store accessors.
+per label, links by walking every ray pixel by pixel into plain lists
+(each link's derived pixels are checked against the walk), group
+distances from the raw per-link pixel tuples, break points by literal
+max-over-prefix, and cumulative link areas by walking the whole merge
+subtree.  Nothing is shared with the optimized code paths beyond the
+public types and, where an oracle takes a store, the link store accessors.
 """
 
 from __future__ import annotations
@@ -56,8 +56,11 @@ def brute_force_isols(raster) -> list[Isol]:
     return out
 
 
-def walk_rays(raster, isols, max_ray: int | None = None) -> LinkStore:
-    """Links by walking every ray pixel by pixel from every edge pixel.
+def walk_links(
+    raster, isols, max_ray: int | None = None
+) -> dict[tuple[int, int], list[ConnectiveLink]]:
+    """Links by walking every ray pixel by pixel from every edge pixel,
+    as plain lists keyed by (low, high) pair, built without ``LinkStore``.
 
     Rays go segment by segment in the given order, edge pixels sorted,
     directions in ``DIRECTIONS`` order.
@@ -96,7 +99,12 @@ def walk_rays(raster, isols, max_ray: int | None = None) -> LinkStore:
                             link
                         )
                     break
-    return LinkStore(found)
+    return found
+
+
+def walk_rays(raster, isols, max_ray: int | None = None) -> LinkStore:
+    """``walk_links`` in a store."""
+    return LinkStore(walk_links(raster, isols, max_ray))
 
 
 def raw_union(store: LinkStore, group_a, group_b) -> tuple[set, bool]:

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from crownmerge import LabeledRaster, dump_text_grid, generate_ring, load_raster, raster_io
+from crownmerge import (
+    LabeledRaster,
+    dump_text_grid,
+    generate_random,
+    generate_ring,
+    links,
+    load_raster,
+    raster_io,
+)
 from crownmerge.cli import PipelineConfig, REPORT_SCHEMA, main, run_pipeline
 
 from conftest import QUAD_GRID
@@ -96,6 +104,26 @@ def test_run_pipeline_empty_scene(tmp_path):
     with open(out / "clusters.pgm", "rb") as fh:
         painted = load_raster(fh, "pgm")
     assert np.array_equal(painted.labels, np.zeros((2, 2), dtype=np.int64))
+
+
+def test_run_pipeline_builds_no_link_objects(tmp_path, monkeypatch):
+    # Links stay ray-table rows from cast_rays to the links.csv dump.
+    path = tmp_path / "scene.txt"
+    path.write_text(dump_text_grid(generate_random(3, n_isols=40, size=64).raster))
+    run_pipeline(PipelineConfig(input_path=path, out_dir=tmp_path / "a", dump_links=True))
+
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the pipeline built a ConnectiveLink")
+
+    monkeypatch.setattr(links, "ConnectiveLink", Refused)
+    run_pipeline(PipelineConfig(input_path=path, out_dir=tmp_path / "b", dump_links=True))
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*"))
+    assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*"))
+    assert Path("links.csv") in files
+    for name in files:
+        a, b = tmp_path / "a" / name, tmp_path / "b" / name
+        assert a.is_dir() or a.read_bytes() == b.read_bytes(), name
 
 
 def test_run_pipeline_lw_stream(tmp_path):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
+from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -29,7 +32,7 @@ from conftest import (
     max_rays,
     synth_rasters,
 )
-from oracles import walk_rays
+from oracles import walk_links
 
 
 def scene(rows):
@@ -178,16 +181,21 @@ def test_max_ray_caps_interstitial_length():
 @example(LabeledRaster.from_array([[1], [0], [0], [2]]), 1, False)  # capped below the gap
 @example(LabeledRaster.from_array([[0, 0, 5], [0, 0, 0], [70000, 0, 0]]), None, True)
 def test_cast_rays_matches_pixel_walk_oracle(raster, max_ray, reverse):
-    # Segments are cast in the order given, which need not be by id.
+    # Segments are cast in the order given, which need not be by id.  The
+    # oracle's links are raw lists, so no store code is on its side.
     isols = extract_isols(raster)[:: -1 if reverse else 1]
     got = cast_rays(raster, isols, max_ray=max_ray)
-    want = walk_rays(raster, isols, max_ray=max_ray)
-    assert got.pairs() == want.pairs()
+    want = walk_links(raster, isols, max_ray=max_ray)
+    assert got.pairs() == tuple(sorted(want))
     for pair in got.pairs():
         links = got.links_between(*pair)
-        assert links == want.links_between(*pair)
-        assert got.pair_union(*pair) == want.pair_union(*pair)
-        assert got.link_stats(*pair) == want.link_stats(*pair)
+        assert links == tuple(want[pair])
+        assert got.pair_union(*pair) == set(
+            chain.from_iterable(link.interstitial for link in want[pair])
+        )
+        assert got.link_stats(*pair) == (
+            len(want[pair]), sum(link.length for link in want[pair])
+        )
         for link in links:
             assert type(link.target_isol) is int
             assert all(type(v) is int for px in link.interstitial for v in px)
@@ -315,12 +323,105 @@ def test_store_rejects_negative_length():
         LinkStore({(1, 2): [_link(1, 2, length=-1)]})
 
 
+@pytest.mark.parametrize(
+    "link, field",
+    [
+        (ConnectiveLink(2**63, 1, "E", (0, 0), 1), "origin_isol"),
+        (ConnectiveLink(1, -(2**63) - 1, "E", (0, 0), 1), "target_isol"),
+        (ConnectiveLink(1, 2, "E", (2**63, 0), 1), "origin_x"),
+        (ConnectiveLink(1, 2, "E", (0, -(2**63) - 1), 1), "origin_y"),
+        (ConnectiveLink(1, 2, "E", (0, 0), 2**63), "length"),
+    ],
+)
+def test_store_rejects_fields_beyond_int64(link, field):
+    pair = tuple(sorted((link.origin_isol, link.target_isol)))
+    with pytest.raises(ValueError, match=f"link {field} does not fit in int64"):
+        LinkStore({pair: [link]})
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((3, 3, 2, 0, 0, 1), "link 3 joins a segment to itself"),
+        ((1, 2, 8, 0, 0, 1), "unknown direction index 8"),
+        ((1, 2, -1, 0, 0, 1), "unknown direction index -1"),
+        ((2, 1, 2, 0, 0, -4), "negative length -4"),
+    ],
+)
+def test_ray_table_checks(row, message):
+    # cast_rays hands its rays over as a table; they are checked there.
+    table = np.array([(1, 2, 2, 0, 0, 1), row], dtype=np.int64)
+    with pytest.raises(ValueError, match=message):
+        LinkStore._from_table(table)
+
+
+int64s = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def links_by_pair(draw) -> dict[tuple[int, int], list[ConnectiveLink]]:
+    """Hand-built stores: int64 ids, both orientations, every direction."""
+    ids = draw(st.lists(int64s, min_size=2, max_size=6, unique=True))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+            .filter(lambda ab: ab[0] < ab[1]),
+            unique=True,
+            max_size=6,
+        )
+    )
+    mapping = {}
+    for a, b in pairs:
+        mapping[(a, b)] = draw(
+            st.lists(
+                st.builds(
+                    lambda ends, direction, pixel, length: ConnectiveLink(
+                        *ends, direction, pixel, length
+                    ),
+                    st.sampled_from([(a, b), (b, a)]),
+                    st.sampled_from([name for name, _, _ in DIRECTIONS]),
+                    st.tuples(int64s, int64s),
+                    st.integers(0, 2**63 - 1) | st.integers(0, 3),
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    return mapping
+
+
+@settings(max_examples=200, deadline=None)
+@given(links_by_pair(), int64s, int64s)
+def test_hand_built_store_round_trips(mapping, x, y):
+    store = LinkStore(mapping)
+    assert store.pairs() == tuple(sorted(mapping)) and len(store) == len(mapping)
+    for (a, b), links in mapping.items():
+        for got in (store.links_between(a, b), store.links_between(b, a)):
+            assert got == tuple(links)
+            for link in got:
+                fields = (link.origin_isol, link.target_isol, *link.origin_pixel, link.length)
+                assert all(type(v) is int for v in fields)
+        count, total = store.link_stats(a, b)
+        assert (count, total) == (len(links), sum(link.length for link in links))
+        assert type(count) is int and type(total) is int
+    if x != y and (min(x, y), max(x, y)) not in mapping:
+        assert not store.has_links(x, y)
+        assert store.links_between(x, y) == ()
+        assert store.link_stats(x, y) == (0, 0)
+
+
 def test_dump_links_csv(quad):
     out = io.StringIO()
     dump_links_csv(quad.store, out)
     lines = out.getvalue().splitlines()
     assert lines[0] == "origin_isol,target_isol,direction,origin_x,origin_y,length"
-    total_links = sum(
-        len(quad.store.links_between(*pair)) for pair in quad.store.pairs()
-    )
-    assert len(lines) == 1 + total_links
+    raster = LabeledRaster.from_array(QUAD_GRID)
+    walked = walk_links(raster, extract_isols(raster))
+    want = [
+        [str(v) for v in (
+            link.origin_isol, link.target_isol, link.direction, *link.origin_pixel, link.length
+        )]
+        for pair in sorted(walked)
+        for link in walked[pair]
+    ]
+    assert list(csv.reader(lines[1:])) == want
