@@ -5,15 +5,18 @@ nothing connective is left, producing a binary merge forest.  Group-to-group
 distance is the size of the union of all link-pixel sets between their
 members, so it is not additive.  Each group keeps a map from every linked
 neighbour to their pair's pixel union; a merge folds the smaller map into
-the larger one and, for a neighbour both sides share, adds the smaller of
-its two pixel sets into the larger (``agglomerate`` owns every set).  The
-sets hold flat pixel indices, built for all pairs in one vectorised pass
-over the link rays, and only their sizes leave ``agglomerate``.  A
-min-heap of pairs, keyed by distance and then by the two groups' minimum
-segment ids, picks each merge; items of retired groups are skipped when
-popped (lazy invalidation).  No two active groups share a minimum segment
-id, so that key totally orders the live pairs and the heap merges in the
-same order as scanning every pair for the smallest key.  The linkage is
+the larger one and, for a neighbour both sides share, unites its two
+pixel unions.  Each union is a bit mask over the scene's footprint pixels
+ranked in row-major order, held as ``(bits, low, count)``: a Python int
+whose bit ``i`` stands for rank ``low + i``, its lowest rank and its
+popcount.  The masks are built for all pairs in one vectorised pass over
+the link rays, a union is one shift, one OR and one popcount, and only
+the popcounts leave ``agglomerate``.  A min-heap of pairs, keyed by
+distance and then by the two groups' minimum segment ids, picks each
+merge; items of retired groups are skipped when popped (lazy
+invalidation).  No two active groups share a minimum segment id, so that
+key totally orders the live pairs and the heap merges in the same order
+as scanning every pair for the smallest key.  The linkage is
 reducible, because U(A+B, C) = U(A, C) | U(B, C) is at least as large as
 either part, so the merge heights never decrease along the merge order.
 
@@ -31,7 +34,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .links import LinkStore
+from .links import LinkStore, Mask
 from .raster_io import Isol, PixelCoord
 
 
@@ -156,7 +159,7 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     are lexicographically smallest, which makes the run deterministic.
     Scenes whose link graph is disconnected end as a forest.
 
-    Every linked pair of active groups has one entry, ``[link pixels,
+    Every linked pair of active groups has one entry, ``[link pixel mask,
     link count, length sum]``, shared by both groups' neighbour maps, and
     one heap item ``(distance, lo min member, hi min member, left id,
     right id)``.  An item is live while both its groups are active: a
@@ -164,12 +167,13 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     ids, and ids are never reused, so stale items are simply skipped when
     popped.  Two active groups never share a minimum member, so the heap
     orders live pairs exactly as a full scan for the smallest
-    ``(distance, tie key)`` would.  Each pixel set (an entry's, or a
-    group's cumulative one) has one owner, so folds add the smaller set
-    into the larger in place and copy none.  The sets hold flat pixel
-    indices: the entries come from one vectorised pass over all link rays
-    (``LinkStore._flat_pair_unions``), and only set sizes leave this
-    function, as merge distances and ``a_cumulative``.
+    ``(distance, tie key)`` would.  Every pixel union (an entry's, or a
+    group's cumulative one) is an immutable mask ``(bits, low, count)``
+    over the ranked footprint pixels: the entries come from one vectorised
+    pass over all link rays (``LinkStore._flat_pair_unions``), ``_unite``
+    makes a new mask, and each cached ``count`` is read as a heap key, a
+    merge distance or an ``a_cumulative``; only the counts leave this
+    function.
     """
     ordered = sorted(isols, key=lambda isol: isol.id)
     singleton_ids = {isol.id: idx for idx, isol in enumerate(ordered)}
@@ -181,43 +185,42 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     # The active groups; min_member[g] is the tie key of group g.
     min_member: dict[int, int] = {idx: isol.id for idx, isol in enumerate(ordered)}
     # An entry existing means "linked", so a touching pair keeps its
-    # (empty) pixel set and distance 0.
+    # (empty) mask and distance 0.
     neighbours: dict[int, dict[int, list]] = {n.id: {} for n in nodes}
     heap: list[tuple[int, int, int, int, int]] = []
-    for (a, b), pixels, link_count, length_sum in store._flat_pair_unions()[1]:
+    for (a, b), mask, link_count, length_sum in store._flat_pair_unions()[2]:
         lo, hi = singleton_ids[a], singleton_ids[b]
-        neighbours[lo][hi] = neighbours[hi][lo] = [pixels, link_count, length_sum]
-        heap.append((len(pixels), a, b, lo, hi))
+        neighbours[lo][hi] = neighbours[hi][lo] = [mask, link_count, length_sum]
+        heap.append((mask[2], a, b, lo, hi))
     heapq.heapify(heap)
-    # Link pixels of every merge below each active group.
-    cumulative: dict[int, set[int]] = {n.id: set() for n in nodes}
+    # Link pixel mask of every merge below each active group.
+    cumulative: dict[int, Mask] = {n.id: _EMPTY for n in nodes}
 
     while heap:
         _, _, _, left, right = heapq.heappop(heap)
         if left not in min_member or right not in min_member:
             continue
         new_id = len(nodes)
-        merge_pixels, link_count, length_sum = neighbours[left].pop(right)
+        merge_mask, link_count, length_sum = neighbours[left].pop(right)
         del neighbours[right][left]
-        merge_distance = len(merge_pixels)  # before _unite may grow the set
         covered = _unite(cumulative.pop(left), cumulative.pop(right))
-        cumulative[new_id] = covered = _unite(covered, merge_pixels)
+        cumulative[new_id] = covered = _unite(covered, merge_mask)
         merged = HierarchyNode(
             id=new_id,
             members=nodes[left].members | nodes[right].members,
             ancestors=(left, right),
             merge_iteration=new_id - len(ordered) + 1,
-            merge_distance=merge_distance,
+            merge_distance=merge_mask[2],
             link_count=link_count,
             length_sum=length_sum,
-            a_cumulative=len(covered),
+            a_cumulative=covered[2],
         )
         nodes[left].successor = new_id
         nodes[right].successor = new_id
         nodes.append(merged)
 
         # Fold the smaller neighbour map into the larger one; a neighbour
-        # of both sides gets the union of its two pixel sets.
+        # of both sides gets the union of its two masks.
         folded, small = neighbours.pop(left), neighbours.pop(right)
         if len(folded) < len(small):
             folded, small = small, folded
@@ -236,19 +239,27 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
             lo, hi = min_member[other], new_min
             if hi < lo:
                 lo, hi = hi, lo
-            heapq.heappush(heap, (len(entry[0]), lo, hi, other, new_id))
+            heapq.heappush(heap, (entry[0][2], lo, hi, other, new_id))
         neighbours[new_id] = folded
         min_member[new_id] = new_min
 
     return Hierarchy(nodes, singleton_ids)
 
 
-def _unite(a: set[int], b: set[int]) -> set[int]:
-    """Add the smaller set into the larger and return the larger."""
-    if len(a) < len(b):
+#: The mask of no pixels.
+_EMPTY: Mask = (0, 0, 0)
+
+
+def _unite(a: Mask, b: Mask) -> Mask:
+    """The union of two ``(bits, low, count)`` masks; an empty side returns the other."""
+    if not b[2]:
+        return a
+    if not a[2]:
+        return b
+    if b[1] < a[1]:
         a, b = b, a
-    a |= b
-    return a
+    bits = a[0] | b[0] << (b[1] - a[1])
+    return bits, a[1], bits.bit_count()
 
 
 def hierarchy_records(hierarchy: Hierarchy) -> list[dict]:

@@ -44,6 +44,10 @@ _DIRECTION_INDEX = {name: d for d, (name, _, _) in enumerate(DIRECTIONS)}
 #: In ``ConnectiveLink`` field order, with a ``DIRECTIONS`` index; also the links.csv header.
 _COLUMNS = ("origin_isol", "target_isol", "direction", "origin_x", "origin_y", "length")
 
+#: ``(bits, low, count)``: bit ``i`` of ``bits`` stands for ranked pixel
+#: ``low + i``, and ``count`` is the number of set bits.
+Mask = tuple[int, int, int]
+
 #: Distance value for segment pairs without any connective link.
 NO_CONNECTION = math.inf
 
@@ -74,8 +78,9 @@ class LinkStore:
     ``links_between`` builds new, equal ``ConnectiveLink`` objects from
     the rows on each call.  ``pair_union`` gives one pair's ``(x, y)``
     pixels; ``agglomerate`` instead seeds every pair at once from
-    ``_flat_pair_unions``: sets of flat pixel indices, built in one
-    vectorised pass over the table, whose sizes are all that leaves it.
+    ``_flat_pair_unions``: bit masks over the scene's footprint pixels ranked
+    in row-major order, each a Python int with its lowest rank and its
+    popcount, built in one vectorised pass over the table.
     """
 
     def __init__(self, links_by_pair: Mapping[tuple[int, int], Sequence[ConnectiveLink]]):
@@ -154,20 +159,28 @@ class LinkStore:
         rows = self._table[self._rows.get(_key(a, b), slice(0))]
         return len(rows), sum(rows[:, _COLUMNS.index("length")].tolist())
 
-    def _flat_pair_unions(self) -> tuple[int, list[tuple[tuple[int, int], set[int], int, int]]]:
-        """``(span, rows)``: one row ``(pair, pixels, link count, length sum)``
-        per linked pair, sorted by pair, built in one vectorised pass.
+    def _flat_pair_unions(
+        self,
+    ) -> tuple[int, np.ndarray, list[tuple[tuple[int, int], Mask, int, int]]]:
+        """``(span, ranked, rows)``: one row ``(pair, mask, link count, length
+        sum)`` per linked pair, sorted by pair, built in one vectorised pass.
 
-        ``pixels`` is ``pair_union`` as flat indices ``y * span + x`` in a
-        new set the caller owns; ``span`` is one more than the largest x of
-        any link's origin or far end, so it bounds every footprint x.
+        ``ranked`` holds every distinct footprint pixel as a flat index
+        ``y * span + x``, ascending, so a pixel's rank is its row-major
+        position among them; ``span`` is one more than the largest x of any
+        link's origin or far end, so it bounds every footprint x.  ``mask``
+        is ``pair_union`` as ``(bits, low, count)``: bit ``i`` of the int
+        ``bits`` stands for rank ``low + i``, ``low`` is the pair's lowest
+        rank (0 for an empty mask) and ``count`` the number of set bits.
         Each footprint ``origin + step * (1..length)`` is expanded for all
         table rows at once, keyed ``pair * size + flat`` and deduplicated by a
         sort and a neighbour mask (``np.unique`` is far slower on wide keys).
+        One more sort of the pair pixels ranks them, and their bits are
+        packed into one byte buffer that each mask is read from.
         """
         pairs = self.pairs()
         if not pairs:
-            return 1, []
+            return 1, np.empty(0, dtype=np.int64), []
         counts = [rows.stop - rows.start for rows in self._rows.values()]
         _, _, direction, ox, oy, length = self._table.T
         dx, dy = np.array([step for _, *step in DIRECTIONS])[direction].T
@@ -194,16 +207,52 @@ class LinkStore:
         distinct[1:] = keys[1:] != keys[:-1]
         keys = keys[distinct]
         del distinct
-        bounds = np.searchsorted(keys, np.arange(len(pairs) + 1) * size).tolist()
-        flat = np.remainder(keys, size, out=keys).tolist()
+        bounds = np.searchsorted(keys, np.arange(len(pairs) + 1) * size)
+        flat = np.remainder(keys, size, out=keys)
         del keys
+
+        # Rank: the position of a pixel's flat index among the distinct
+        # ones.  Each pair's flat indices ascend, so its ranks do too and
+        # its first rank is its lowest.
+        order = np.argsort(flat)
+        ranked = flat[order]
+        del flat
+        distinct = np.ones(ranked.size, dtype=bool)
+        distinct[1:] = ranked[1:] != ranked[:-1]
+        rank = np.empty_like(ranked)
+        rank[order] = np.cumsum(distinct) - 1
+        ranked = ranked[distinct]
+        del order, distinct
+        npix = np.diff(bounds)
+        filled = npix > 0
+        low = np.zeros(len(pairs), dtype=np.int64)
+        low[filled] = rank[bounds[:-1][filled]]
+        nbytes = np.zeros(len(pairs), dtype=np.int64)
+        nbytes[filled] = (rank[bounds[1:][filled] - 1] - low[filled]) // 8 + 1
+        byte_bounds = np.append(0, np.cumsum(nbytes))
+        # Bit i of a mask is bit i % 8 of its byte i // 8 (little-endian),
+        # and byte indices never decrease along ``rank``, so one reduceat
+        # ORs each byte's bits together.
+        rank -= np.repeat(low, npix)
+        at = np.repeat(byte_bounds[:-1], npix) + (rank >> 3)
+        bits = (1 << (rank & 7)).astype(np.uint8)
+        del rank
+        packed = np.zeros(int(byte_bounds[-1]), dtype=np.uint8)
+        if at.size:
+            new_byte = np.flatnonzero(np.append(True, at[1:] != at[:-1]))
+            packed[at[new_byte]] = np.bitwise_or.reduceat(bits, new_byte)
+        del at, bits
+        buffer = memoryview(packed)
         # reduceat keeps the sums exact int64; every pair has a link.
         sums = np.add.reduceat(length, np.cumsum(counts) - counts).tolist()
+        byte_bounds = byte_bounds.tolist()
         rows = [
-            (pair, set(flat[lo:hi]), count, total)
-            for pair, lo, hi, count, total in zip(pairs, bounds, bounds[1:], counts, sums)
+            (pair, (int.from_bytes(buffer[b0:b1], "little"), lo, count), links, total)
+            for pair, b0, b1, lo, count, links, total in zip(
+                pairs, byte_bounds, byte_bounds[1:], low.tolist(), npix.tolist(), counts, sums
+            )
         ]
-        return span, rows
+        return span, ranked, rows
 
     def __len__(self) -> int:
         return len(self._rows)

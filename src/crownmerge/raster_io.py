@@ -101,8 +101,10 @@ class LabeledRaster:
 
     def positive_ids(self) -> tuple[int, ...]:
         """Distinct positive labels, ascending."""
-        ids = np.unique(self.labels)
-        return tuple(int(v) for v in ids if v > 0)
+        labels = np.sort(self.labels, axis=None)
+        keep = labels > 0
+        keep[1:] &= labels[1:] != labels[:-1]
+        return tuple(labels[keep].tolist())
 
 
 @dataclass(frozen=True)
@@ -414,9 +416,9 @@ def extract_isols(raster: LabeledRaster) -> list[Isol]:
     Returns segments sorted by id.  An all-zero raster yields an empty list.
 
     One sorted pass: the flat indices of all labelled pixels are stably
-    sorted by label and cut into one run per label.  The stable sort keeps
-    row-major order inside each run, so every frozenset is built by
-    inserting its pixels in row-major order.
+    sorted by label and cut into one run per label where the sorted label
+    changes.  The stable sort keeps row-major order inside each run, so
+    every frozenset is built by inserting its pixels in row-major order.
     """
     labels = raster.labels
     # A pixel is an edge pixel if any 4-neighbour has a different label;
@@ -435,7 +437,10 @@ def extract_isols(raster: LabeledRaster) -> list[Isol]:
     nonzero = np.flatnonzero(flat)
     order = np.argsort(flat[nonzero], kind="stable")
     index = nonzero[order]
-    ids, starts = np.unique(flat[index], return_index=True)
+    sorted_labels = flat[index]
+    first = np.ones(index.size, dtype=bool)
+    first[1:] = sorted_labels[1:] != sorted_labels[:-1]
+    ids, starts = sorted_labels[first], np.flatnonzero(first)
     ys, xs = np.divmod(index, raster.width)
     points = list(zip(xs.tolist(), ys.tolist()))
     is_edge = differs.ravel()[index].tolist()

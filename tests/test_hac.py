@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 
 from crownmerge import (
+    ConnectiveLink,
     Hierarchy,
     HierarchyNode,
+    Isol,
     LabeledRaster,
+    LinkStore,
     agglomerate,
     by_id,
     cast_rays,
@@ -17,6 +20,7 @@ from crownmerge import (
     group_pixels,
     hierarchy_records,
 )
+from crownmerge.hac import _EMPTY, _unite
 
 from conftest import build_bundle, label_rasters, max_rays, random_bundles
 from oracles import (
@@ -208,8 +212,8 @@ def _node_quantities(h):
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_agglomerate_twice_on_one_store_is_identical(seed):
-    # agglomerate grows the pixel sets pair_union hands it, so a second run
-    # on the same store differs if the store ever hands out one set twice.
+    # agglomerate must leave the store as it found it: a second run on the
+    # same store differs if it ever keeps or changes state there.
     scene = generate_random(seed, n_isols=16, size=48)
     isols = extract_isols(scene.raster)
     store = cast_rays(scene.raster, isols)
@@ -243,3 +247,57 @@ def test_lattice_ties_follow_smallest_member_pair():
         {1, 2}, {1, 2, 3}, {1, 2, 3, 4}, {1, 2, 3, 4, 5}, {6, 7}, {6, 7, 8}
     ]
     assert h.roots == (48,)
+
+
+# ---------------------------------------------------------------------------
+# pixel masks
+# ---------------------------------------------------------------------------
+
+
+def test_crossing_rays_unite_overlapping_masks():
+    # Pair (1, 2) runs east along y = 2 and pair (3, 4) south along x = 2,
+    # so they cross at (2, 2): the two cumulative masks {1, 2} and {3, 4}
+    # bring into their merge overlap there, and the lower one starts at
+    # (2, 1).  Segment 5 reaches up column 1 to both groups; its two
+    # entries overlap on (1, 4)..(1, 9) but start at (1, 2) and (1, 4),
+    # so the fold unites masks at different offsets.
+    store = LinkStore({
+        (1, 2): [ConnectiveLink(1, 2, "E", (0, 2), 3)],
+        (3, 4): [ConnectiveLink(3, 4, "S", (2, 0), 3)],
+        (2, 4): [ConnectiveLink(2, 4, "S", (4, 0), 5)],
+        (1, 5): [ConnectiveLink(5, 1, "N", (1, 10), 8)],
+        (3, 5): [ConnectiveLink(5, 3, "N", (1, 10), 6), ConnectiveLink(3, 5, "W", (5, 9), 3)],
+    })
+    isols = [Isol(id=i, pixels=frozenset(), edge_pixels=frozenset()) for i in range(1, 6)]
+    h = agglomerate(isols, store)
+    assert merge_sequence_of(h) == brute_force_merge_sequence(isols, store)
+    assert [h.node(n).ancestors for n in h.merge_node_ids()] == [(0, 1), (2, 3), (5, 6), (4, 7)]
+    for node_id in h.merge_node_ids():
+        node = h.node(node_id)
+        assert (node.merge_distance, node.link_count, node.length_sum) == (
+            brute_force_merge_params(h, store, node_id)
+        )
+        assert node.a_cumulative == brute_force_a_cumulative(h, store, node_id)
+    # 3 + 3 - 1 crossing + 5; then the column (1, 2)..(1, 9) adds 7 new
+    # pixels and (2..4, 9) three more.
+    assert [h.node(n).a_cumulative for n in h.merge_node_ids()] == [3, 3, 10, 20]
+    assert h.node(8).merge_distance == 11
+
+
+@pytest.mark.parametrize(
+    "a, b, union",
+    [
+        ((0b1, 0, 1), (0b11, 2, 2), (0b1101, 0, 3)),  # disjoint
+        ((0b111, 4, 3), (0b1011, 5, 3), (0b10111, 4, 4)),  # overlapping
+        ((0b11, 1, 2), (0b111, 0, 3), (0b111, 0, 3)),  # one inside the other
+        ((0b101, 4, 2), _EMPTY, (0b101, 4, 2)),  # one side empty
+        (_EMPTY, _EMPTY, _EMPTY),  # both sides empty
+    ],
+)
+@pytest.mark.parametrize("swap", [False, True])
+def test_unite_shifts_to_the_lower_offset(a, b, union, swap):
+    if swap:
+        a, b = b, a
+    got = _unite(a, b)
+    assert got == union
+    assert got[2] == got[0].bit_count()

@@ -203,32 +203,59 @@ def test_cast_rays_matches_pixel_walk_oracle(raster, max_ray, reverse):
 
 @settings(max_examples=200, deadline=None)
 @given(label_rasters(), max_rays)
-@example(LabeledRaster.from_array([[1, 2]]), None)  # touching: an empty set
+@example(LabeledRaster.from_array([[1, 2]]), None)  # touching: an empty mask
 @example(LabeledRaster.from_array([[0, 1, 0]]), None)  # no links at all
 @example(LabeledRaster.from_array([[1, 0, 0, 2, 0, 3, 0, 1]]), None)  # 1xN
 @example(LabeledRaster.from_array([[1], [0], [0], [2], [0], [3], [0], [1]]), 2)  # Nx1
 @example(LabeledRaster.from_array([[1, 0, 2], [0, 0, 0], [3, 0, 4]]), None)  # row 0, column 0
 def test_flat_pair_unions_match_pair_union_and_link_stats(raster, max_ray):
     store = cast_rays(raster, extract_isols(raster), max_ray=max_ray)
-    span, rows = store._flat_pair_unions()
+    span, ranked, rows = store._flat_pair_unions()
     assert [pair for pair, *_ in rows] == list(store.pairs())
-    for pair, pixels, link_count, length_sum in rows:
-        assert all(type(flat) is int for flat in pixels)
-        xy = {(x, y) for y, x in (divmod(flat, span) for flat in pixels)}
-        assert xy == store.pair_union(*pair)
+    # Ranks are row-major: the flat indices ascend, each one pixel.
+    assert ranked.tolist() == sorted(set(ranked.tolist()))
+    pixels = [(x, y) for y, x in (divmod(flat, span) for flat in ranked.tolist())]
+    assert all(0 <= x < span for x, _ in pixels)
+    footprint = set()
+    for pair, (bits, low, count), link_count, length_sum in rows:
+        assert all(type(v) is int for v in (bits, low, count))
+        assert count == bits.bit_count()
+        # The offset is the lowest rank, so bit 0 is set unless empty.
+        assert bits & 1 if count else (bits, low) == (0, 0)
+        decoded = {pixels[low + i] for i in range(bits.bit_length()) if bits >> i & 1}
+        assert decoded == store.pair_union(*pair)
         assert (link_count, length_sum) == store.link_stats(*pair)
+        footprint |= decoded
+    assert footprint == set(pixels)
 
 
 def test_flat_pair_unions_of_touching_pair_are_empty_but_linked():
     store = scene([[1, 2]]).store
-    assert store._flat_pair_unions()[1] == [((1, 2), set(), 2, 0)]
+    span, ranked, rows = store._flat_pair_unions()
+    assert ranked.tolist() == []
+    assert rows == [((1, 2), (0, 0, 0), 2, 0)]
 
 
 def test_flat_pair_unions_span_covers_far_ends():
     # Cast rays always come in mirrored pairs; a store built by hand need
     # not, so the span must bound the far end of a one-way link too.
     store = LinkStore({(1, 2): [ConnectiveLink(1, 2, "SE", (0, 0), 3)]})
-    assert store._flat_pair_unions() == (4, [((1, 2), {5, 10, 15}, 1, 3)])
+    span, ranked, rows = store._flat_pair_unions()
+    assert (span, ranked.tolist()) == (4, [5, 10, 15])
+    assert rows == [((1, 2), (0b111, 0, 3), 1, 3)]
+
+
+def test_flat_pair_unions_offset_masks_by_lowest_rank():
+    # Ranks 0..5 are the pixels (1..3, 1) and (1..3, 3) in row-major
+    # order; pair (1, 2) covers the first row and pair (2, 3) the second,
+    # so its mask starts at rank 3.
+    store = LinkStore({
+        (1, 2): [ConnectiveLink(1, 2, "E", (0, 1), 3)],
+        (2, 3): [ConnectiveLink(3, 2, "E", (0, 3), 3), ConnectiveLink(2, 3, "W", (4, 3), 2)],
+    })
+    span, ranked, rows = store._flat_pair_unions()
+    assert (span, ranked.tolist()) == (5, [6, 7, 8, 16, 17, 18])
+    assert rows == [((1, 2), (0b111, 0, 3), 1, 3), ((2, 3), (0b111, 3, 3), 2, 5)]
 
 
 @pytest.mark.parametrize(
