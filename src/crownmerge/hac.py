@@ -9,16 +9,17 @@ the larger one and, for a neighbour both sides share, unites its two
 pixel unions.  Each union is a bit mask over the scene's footprint pixels
 ranked in row-major order, held as ``(bits, low, count)``: a Python int
 whose bit ``i`` stands for rank ``low + i``, its lowest rank and its
-popcount.  The masks are built for all pairs in one vectorised pass over
-the link rays, a union is one shift, one OR and one popcount, and only
-the popcounts leave ``agglomerate``.  A min-heap of pairs, keyed by
-distance and then by the two groups' minimum segment ids, picks each
-merge; items of retired groups are skipped when popped (lazy
-invalidation).  No two active groups share a minimum segment id, so that
-key totally orders the live pairs and the heap merges in the same order
-as scanning every pair for the smallest key.  The linkage is
-reducible, because U(A+B, C) = U(A, C) | U(B, C) is at least as large as
-either part, so the merge heights never decrease along the merge order.
+popcount.  The masks are built for all pairs from the footprint pass
+``pair_union`` also reads, the mask format and its union (one shift, one
+OR and one popcount) belong to ``links``, and only the popcounts leave
+``agglomerate``.  A min-heap of pairs, keyed by distance and then by the
+two groups' minimum segment ids, picks each merge; items of retired
+groups are skipped when popped (lazy invalidation).  No two active
+groups share a minimum segment id, so that key totally orders the live
+pairs and the heap merges in the same order as scanning every pair for
+the smallest key.  The linkage is reducible, because
+U(A+B, C) = U(A, C) | U(B, C) is at least as large as either part, so
+the merge heights never decrease along the merge order.
 
 Each merge node also records the link quantities its parameters are read
 from: the link count and summed link length across the merged pair, and
@@ -34,7 +35,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .links import LinkStore, Mask
+from .links import _EMPTY, LinkStore, Mask, _unite
 from .raster_io import Isol, PixelCoord
 
 
@@ -170,10 +171,11 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     ``(distance, tie key)`` would.  Every pixel union (an entry's, or a
     group's cumulative one) is an immutable mask ``(bits, low, count)``
     over the ranked footprint pixels: the entries come from one vectorised
-    pass over all link rays (``LinkStore._flat_pair_unions``), ``_unite``
-    makes a new mask, and each cached ``count`` is read as a heap key, a
-    merge distance or an ``a_cumulative``; only the counts leave this
-    function.
+    pass over all link rays (``LinkStore._flat_pair_unions``, the same
+    footprints ``pair_union`` slices, without building its cache),
+    ``links._unite`` makes a new mask, and each cached ``count`` is read as
+    a heap key, a merge distance or an ``a_cumulative``; only the counts
+    leave this function.
     """
     ordered = sorted(isols, key=lambda isol: isol.id)
     singleton_ids = {isol.id: idx for idx, isol in enumerate(ordered)}
@@ -244,22 +246,6 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
         min_member[new_id] = new_min
 
     return Hierarchy(nodes, singleton_ids)
-
-
-#: The mask of no pixels.
-_EMPTY: Mask = (0, 0, 0)
-
-
-def _unite(a: Mask, b: Mask) -> Mask:
-    """The union of two ``(bits, low, count)`` masks; an empty side returns the other."""
-    if not b[2]:
-        return a
-    if not a[2]:
-        return b
-    if b[1] < a[1]:
-        a, b = b, a
-    bits = a[0] | b[0] << (b[1] - a[1])
-    return bits, a[1], bits.bit_count()
 
 
 def hierarchy_records(hierarchy: Hierarchy) -> list[dict]:

@@ -13,7 +13,10 @@ in both axes, king-style) across interstitial label-0 pixels and either
 The connective distance between two segments is the number of distinct
 interstitial pixels covered by all their links together, so overlapping
 rays are only counted once.  Segment pairs with no links are infinitely
-far apart.
+far apart.  Every such pixel union is read from one vectorised footprint
+pass over the ray table (``LinkStore._footprint_pass``): ``agglomerate``
+ranks its pixels into bit masks (``Mask``, united by ``_unite``), and the
+distance accessors slice a cached copy of it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -47,6 +51,22 @@ _COLUMNS = ("origin_isol", "target_isol", "direction", "origin_x", "origin_y", "
 #: ``(bits, low, count)``: bit ``i`` of ``bits`` stands for ranked pixel
 #: ``low + i``, and ``count`` is the number of set bits.
 Mask = tuple[int, int, int]
+
+#: The mask of no pixels.
+_EMPTY: Mask = (0, 0, 0)
+
+
+def _unite(a: Mask, b: Mask) -> Mask:
+    """The union of two ``(bits, low, count)`` masks; an empty side returns the other."""
+    if not b[2]:
+        return a
+    if not a[2]:
+        return b
+    if b[1] < a[1]:
+        a, b = b, a
+    bits = a[0] | b[0] << (b[1] - a[1])
+    return bits, a[1], bits.bit_count()
+
 
 #: Distance value for segment pairs without any connective link.
 NO_CONNECTION = math.inf
@@ -76,11 +96,13 @@ class LinkStore:
     stably sorted by pair so that each pair keeps its links in the order
     given, beside a pair -> row range index.
     ``links_between`` builds new, equal ``ConnectiveLink`` objects from
-    the rows on each call.  ``pair_union`` gives one pair's ``(x, y)``
-    pixels; ``agglomerate`` instead seeds every pair at once from
-    ``_flat_pair_unions``: bit masks over the scene's footprint pixels ranked
-    in row-major order, each a Python int with its lowest rank and its
-    popcount, built in one vectorised pass over the table.
+    the rows on each call.  Every pair's pixel union comes from one
+    vectorised pass over the table (``_footprint_pass``): ``pair_union``
+    slices a copy of it built on first use and cached, while
+    ``agglomerate`` reads a fresh one packed into bit masks
+    (``_flat_pair_unions``), so a run never builds the cache.  The union
+    accessors raise ``ValueError`` if a link pixel leaves the
+    non-negative int64 quadrant, which only a store built by hand can do.
     """
 
     def __init__(self, links_by_pair: Mapping[tuple[int, int], Sequence[ConnectiveLink]]):
@@ -151,45 +173,59 @@ class LinkStore:
 
     def pair_union(self, a: int, b: int) -> set[PixelCoord]:
         """Distinct interstitial pixels over the pair's links, in a new set the caller owns."""
-        links = self.links_between(a, b)
-        return set(chain.from_iterable(link.interstitial for link in links))
+        at, xs, ys = self._footprints
+        rows = at.get(_key(a, b), slice(0))
+        return set(zip(xs[rows].tolist(), ys[rows].tolist()))
 
     def link_stats(self, a: int, b: int) -> tuple[int, int]:
         """(link count, summed link length) for the pair; (0, 0) if unlinked."""
         rows = self._table[self._rows.get(_key(a, b), slice(0))]
         return len(rows), sum(rows[:, _COLUMNS.index("length")].tolist())
 
-    def _flat_pair_unions(
-        self,
-    ) -> tuple[int, np.ndarray, list[tuple[tuple[int, int], Mask, int, int]]]:
-        """``(span, ranked, rows)``: one row ``(pair, mask, link count, length
-        sum)`` per linked pair, sorted by pair, built in one vectorised pass.
+    @cached_property
+    def _footprints(self) -> tuple[dict[tuple[int, int], slice], np.ndarray, np.ndarray]:
+        """``(pair -> slice, xs, ys)``: ``_footprint_pass`` split into x and y
+        columns for ``pair_union``, built on first use and kept, since the
+        ray table never changes."""
+        span, flat, bounds = self._footprint_pass()
+        ys, xs = np.divmod(flat, span)
+        bounds = bounds.tolist()
+        return dict(zip(self._rows, map(slice, bounds, bounds[1:]))), xs, ys
 
-        ``ranked`` holds every distinct footprint pixel as a flat index
-        ``y * span + x``, ascending, so a pixel's rank is its row-major
-        position among them; ``span`` is one more than the largest x of any
-        link's origin or far end, so it bounds every footprint x.  ``mask``
-        is ``pair_union`` as ``(bits, low, count)``: bit ``i`` of the int
-        ``bits`` stands for rank ``low + i``, ``low`` is the pair's lowest
-        rank (0 for an empty mask) and ``count`` the number of set bits.
-        Each footprint ``origin + step * (1..length)`` is expanded for all
-        table rows at once, keyed ``pair * size + flat`` and deduplicated by a
-        sort and a neighbour mask (``np.unique`` is far slower on wide keys).
-        One more sort of the pair pixels ranks them, and their bits are
-        packed into one byte buffer that each mask is read from.
+    def _footprint_pass(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """``(span, flat, bounds)``: every linked pair's distinct footprint
+        pixels, built in one vectorised pass over the ray table.
+
+        Pair ``i`` (in ``pairs()`` order) covers ``flat[bounds[i]:bounds[i + 1]]``,
+        its pixels as ascending flat indices ``y * span + x``; ``span`` is one
+        more than the largest x of any link's origin or far end, so it bounds
+        every footprint x.  Each footprint ``origin + step * (1..length)`` is
+        expanded for all table rows at once, keyed ``pair * size + flat`` and
+        deduplicated by a sort and a neighbour mask (``np.unique`` is far
+        slower on wide keys).  Every link pixel, far end included, must lie
+        in the non-negative int64 quadrant, or the flat indices would collide
+        or wrap.
         """
         pairs = self.pairs()
         if not pairs:
-            return 1, np.empty(0, dtype=np.int64), []
+            return 1, np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
         counts = [rows.stop - rows.start for rows in self._rows.values()]
         _, _, direction, ox, oy, length = self._table.T
         dx, dy = np.array([step for _, *step in DIRECTIONS])[direction].T
-        far_x, far_y = ox + dx * length, oy + dy * length
-        if min(ox.min(), oy.min(), far_x.min(), far_y.min()) < 0:
+        # Checked before any far end is computed, since that sum can wrap.
+        if (
+            min(ox.min(), oy.min()) < 0
+            or ((dx < 0) & (length > ox)).any()
+            or ((dy < 0) & (length > oy)).any()
+        ):
             raise ValueError("link pixels must have non-negative coordinates")
+        top = np.iinfo(np.int64).max
+        if ((dx > 0) & (length > top - ox)).any() or ((dy > 0) & (length > top - oy)).any():
+            raise ValueError("link far ends must fit in int64")
+        far_x, far_y = ox + dx * length, oy + dy * length
         span = int(max(ox.max(), far_x.max())) + 1
         size = span * (int(max(oy.max(), far_y.max())) + 1)
-        if len(pairs) * size > np.iinfo(np.int64).max:
+        if len(pairs) * size > top:
             raise ValueError(f"{len(pairs)} pairs of {size} pixels overflow int64 keys")
 
         # Pixel k (1-based) of a link is keyed pair * size + origin + step * k:
@@ -208,8 +244,31 @@ class LinkStore:
         keys = keys[distinct]
         del distinct
         bounds = np.searchsorted(keys, np.arange(len(pairs) + 1) * size)
-        flat = np.remainder(keys, size, out=keys)
-        del keys
+        return span, np.remainder(keys, size, out=keys), bounds
+
+    def _flat_pair_unions(
+        self,
+    ) -> tuple[int, np.ndarray, list[tuple[tuple[int, int], Mask, int, int]]]:
+        """``(span, ranked, rows)``: one row ``(pair, mask, link count, length
+        sum)`` per linked pair, sorted by pair, for ``agglomerate``.
+
+        ``ranked`` holds every distinct footprint pixel as a flat index
+        ``y * span + x`` (``span`` as in ``_footprint_pass``), ascending, so
+        a pixel's rank is its row-major position among them.  ``mask`` is
+        ``pair_union`` as ``(bits, low, count)``: bit ``i`` of the int
+        ``bits`` stands for rank ``low + i``, ``low`` is the pair's lowest
+        rank (0 for an empty mask) and ``count`` the number of set bits.
+        The pixels come from a fresh ``_footprint_pass``, not from the
+        cached ``_footprints``, so a run holds no second copy; one more
+        sort ranks them, and their bits are packed into one byte buffer
+        that each mask is read from.
+        """
+        span, flat, bounds = self._footprint_pass()
+        if not self._rows:
+            return span, flat, []
+        pairs = self.pairs()
+        counts = [rows.stop - rows.start for rows in self._rows.values()]
+        length = self._table[:, _COLUMNS.index("length")]
 
         # Rank: the position of a pixel's flat index among the distinct
         # ones.  Each pair's flat indices ascend, so its ranks do too and

@@ -57,6 +57,43 @@ synth_rasters = st.builds(
     size=st.integers(min_value=20, max_value=40),
 )
 
+
+
+def mosaic(seed: int, n_cells: int, size: int, valley: int) -> LabeledRaster:
+    """A Voronoi mosaic of ``n_cells`` labels on ``size``², split by valleys.
+
+    Each pixel takes the label (1..n_cells) of its nearest seed point; then
+    every pixel whose right or lower neighbour has another label is set to
+    0, and with ``valley=2`` also every pixel whose left or upper one has,
+    so the valleys are 1 or 2 px wide.  A cell can vanish into the valleys
+    or split into fragments, as crowns do in a canopy scene.
+    """
+    rng = np.random.default_rng(seed)
+    seeds = rng.uniform(0, size, (n_cells, 2))
+    ys, xs = np.mgrid[0:size, 0:size]
+    nearest = ((xs[..., None] - seeds[:, 0]) ** 2 + (ys[..., None] - seeds[:, 1]) ** 2).argmin(-1)
+    cells = nearest.astype(np.int64) + 1
+    ground = np.zeros(cells.shape, dtype=bool)
+    ground[:, :-1] |= cells[:, :-1] != cells[:, 1:]
+    ground[:-1, :] |= cells[:-1, :] != cells[1:, :]
+    if valley == 2:
+        ground[:, 1:] |= cells[:, 1:] != cells[:, :-1]
+        ground[1:, :] |= cells[1:, :] != cells[:-1, :]
+    cells[ground] = 0
+    return LabeledRaster.from_array(cells)
+
+
+#: Canopy-shaped scenes: 8..40 cells tiling 16..48 px squares.  Most rays
+#: cross a valley in 0-2 px, so pair footprints overlap heavily and many
+#: merges tie on distance.
+mosaic_rasters = st.builds(
+    mosaic,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_cells=st.integers(min_value=8, max_value=40),
+    size=st.integers(min_value=16, max_value=48),
+    valley=st.sampled_from((1, 2)),
+)
+
 random_bundles = st.builds(
     lambda raster, max_ray: build_bundle(raster, max_ray=max_ray),
     synth_rasters,

@@ -20,9 +20,16 @@ from crownmerge import (
     group_pixels,
     hierarchy_records,
 )
-from crownmerge.hac import _EMPTY, _unite
+from crownmerge.links import _EMPTY, _unite
 
-from conftest import build_bundle, label_rasters, max_rays, random_bundles
+from conftest import (
+    build_bundle,
+    label_rasters,
+    max_rays,
+    mosaic,
+    mosaic_rasters,
+    random_bundles,
+)
 from oracles import (
     brute_force_a_cumulative,
     brute_force_merge_params,
@@ -191,6 +198,19 @@ def test_merge_sequence_matches_brute_force_oracle(bundle):
 @example(LabeledRaster.from_array([[1, 2, 0, 3, 0, 0, 1]]), None)  # touching, then a fold
 @example(LabeledRaster.from_array([[5, 0, 0, 0, 7], [0, 0, 9, 0, 0]]), 1)  # capped rays
 def test_agglomerate_matches_oracles_on_raw_rasters(raster, max_ray):
+    _assert_agglomerate_matches_oracles(raster, max_ray)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mosaic_rasters, max_rays)
+@example(mosaic(0, n_cells=40, size=48, valley=1), None)  # the largest, length-0 links
+@example(mosaic(1, n_cells=40, size=48, valley=2), 2)
+def test_agglomerate_matches_oracles_on_mosaics(raster, max_ray):
+    # Canopy-shaped: short rays, heavily overlapping pair unions, many ties.
+    _assert_agglomerate_matches_oracles(raster, max_ray)
+
+
+def _assert_agglomerate_matches_oracles(raster, max_ray):
     # The oracles rescan links found by walking every ray, not by casting.
     bundle = build_bundle(raster, max_ray=max_ray)
     h = bundle.hierarchy

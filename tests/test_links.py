@@ -30,9 +30,11 @@ from conftest import (
     build_bundle,
     label_rasters,
     max_rays,
+    mosaic,
+    mosaic_rasters,
     synth_rasters,
 )
-from oracles import walk_links
+from oracles import raw_union, walk_links
 
 
 def scene(rows):
@@ -181,6 +183,18 @@ def test_max_ray_caps_interstitial_length():
 @example(LabeledRaster.from_array([[1], [0], [0], [2]]), 1, False)  # capped below the gap
 @example(LabeledRaster.from_array([[0, 0, 5], [0, 0, 0], [70000, 0, 0]]), None, True)
 def test_cast_rays_matches_pixel_walk_oracle(raster, max_ray, reverse):
+    _assert_cast_rays_matches_walk(raster, max_ray, reverse)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mosaic_rasters, max_rays, st.booleans())
+@example(mosaic(0, n_cells=40, size=48, valley=1), None, False)
+def test_cast_rays_matches_pixel_walk_oracle_on_mosaics(raster, max_ray, reverse):
+    # Canopy-shaped: mostly 0-2 px rays, length 0 at valley corners.
+    _assert_cast_rays_matches_walk(raster, max_ray, reverse)
+
+
+def _assert_cast_rays_matches_walk(raster, max_ray, reverse):
     # Segments are cast in the order given, which need not be by id.  The
     # oracle's links are raw lists, so no store code is on its side.
     isols = extract_isols(raster)[:: -1 if reverse else 1]
@@ -199,6 +213,7 @@ def test_cast_rays_matches_pixel_walk_oracle(raster, max_ray, reverse):
         for link in links:
             assert type(link.target_isol) is int
             assert all(type(v) is int for px in link.interstitial for v in px)
+        assert all(type(v) is int for px in got.pair_union(*pair) for v in px)
 
 
 @settings(max_examples=200, deadline=None)
@@ -209,6 +224,8 @@ def test_cast_rays_matches_pixel_walk_oracle(raster, max_ray, reverse):
 @example(LabeledRaster.from_array([[1], [0], [0], [2], [0], [3], [0], [1]]), 2)  # Nx1
 @example(LabeledRaster.from_array([[1, 0, 2], [0, 0, 0], [3, 0, 4]]), None)  # row 0, column 0
 def test_flat_pair_unions_match_pair_union_and_link_stats(raster, max_ray):
+    # pair_union reads the same footprint pass, so the masks are checked
+    # against the union of the links' own interstitial pixels instead.
     store = cast_rays(raster, extract_isols(raster), max_ray=max_ray)
     span, ranked, rows = store._flat_pair_unions()
     assert [pair for pair, *_ in rows] == list(store.pairs())
@@ -223,7 +240,7 @@ def test_flat_pair_unions_match_pair_union_and_link_stats(raster, max_ray):
         # The offset is the lowest rank, so bit 0 is set unless empty.
         assert bits & 1 if count else (bits, low) == (0, 0)
         decoded = {pixels[low + i] for i in range(bits.bit_length()) if bits >> i & 1}
-        assert decoded == store.pair_union(*pair)
+        assert decoded == raw_union(store, {pair[0]}, {pair[1]})[0]
         assert (link_count, length_sum) == store.link_stats(*pair)
         footprint |= decoded
     assert footprint == set(pixels)
@@ -263,13 +280,56 @@ def test_flat_pair_unions_offset_masks_by_lowest_rank():
     [
         (ConnectiveLink(1, 2, "W", (0, 0), 1), "non-negative"),
         (ConnectiveLink(1, 2, "E", (2**40, 2**40), 1), "overflow int64"),
+        (ConnectiveLink(1, 2, "N", (3, 5), 6), "non-negative"),
+        (ConnectiveLink(1, 2, "E", (2**63 - 1, 0), 1), "far ends must fit in int64"),
+        (ConnectiveLink(1, 2, "SE", (0, 2**63 - 2), 2), "far ends must fit in int64"),
     ],
 )
 def test_flat_pair_unions_reject_unkeyable_pixels(link, message):
-    # Pixels off the raster's quadrant would collide as flat indices, and
-    # too wide a bounding box would overflow the pair-major keys.
-    with pytest.raises(ValueError, match=message):
-        LinkStore({(1, 2): [link]})._flat_pair_unions()
+    # Pixels off the raster's quadrant would collide as flat indices, far
+    # ends past int64 would wrap, and too wide a bounding box would
+    # overflow the pair-major keys.  Every union reader says so, again on
+    # a second call: a failed build of the cached view keeps nothing.
+    store = LinkStore({(1, 2): [link]})
+    readers = (
+        store._flat_pair_unions,
+        lambda: store.pair_union(1, 2),
+        lambda: pair_distance(store, 1, 2),
+        lambda: group_distance(store, {2}, {1}),
+    )
+    for read in readers * 2:
+        with pytest.raises(ValueError, match=message):
+            read()
+    assert "_footprints" not in store.__dict__
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_rasters() | synth_rasters | mosaic_rasters, max_rays, st.data())
+@example(mosaic(0, n_cells=40, size=48, valley=1), None, None)
+@example(LabeledRaster.from_array([[1, 2]]), None, None)  # touching: distance 0
+@example(LabeledRaster.from_array([[1, 0, 2, 0, 0, 3]]), 1, None)  # 1-3 unlinked
+def test_distances_match_raw_union_oracle(raster, max_ray, data):
+    bundle = build_bundle(raster, max_ray=max_ray)
+    store = bundle.store
+    # A run reads a fresh footprint pass, so it keeps no cached copy.
+    assert "_footprints" not in store.__dict__
+    ids = [isol.id for isol in bundle.isols]
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            union, linked = raw_union(store, {a}, {b})
+            want = len(union) if linked else NO_CONNECTION
+            assert pair_distance(store, a, b) == pair_distance(store, b, a) == want
+    if len(ids) < 2:
+        return
+    if data is None:
+        groups = [ids[:1], ids[-1:]]
+    else:
+        order = data.draw(st.permutations(ids))
+        cut = data.draw(st.integers(1, len(ids) - 1))
+        groups = [order[:cut], order[cut:data.draw(st.integers(cut + 1, len(ids)))]]
+    union, linked = raw_union(store, *groups)
+    want = len(union) if linked else NO_CONNECTION
+    assert group_distance(store, *groups) == group_distance(store, *groups[::-1]) == want
 
 
 def test_no_connection_is_infinite():
