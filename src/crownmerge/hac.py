@@ -9,15 +9,15 @@ the larger one and, for a neighbour both sides share, unites its two
 pixel unions.  Each union is a bit mask over the scene's footprint pixels
 ranked in row-major order, held as ``(bits, low, count)``: a Python int
 whose bit ``i`` stands for rank ``low + i``, its lowest rank and its
-popcount.  The masks are built for all pairs from the footprint pass
-``pair_union`` also reads, the mask format and its union (one shift, one
-OR and one popcount) belong to ``links``, and only the popcounts leave
-``agglomerate``.  A min-heap of pairs, keyed by distance and then by the
-two groups' minimum segment ids, picks each merge; items of retired
-groups are skipped when popped (lazy invalidation).  No two active
-groups share a minimum segment id, so that key totally orders the live
-pairs and the heap merges in the same order as scanning every pair for
-the smallest key.  The linkage is reducible, because
+popcount.  Each pair's mask is read from the store's one mask table,
+which ``pair_union`` and the distances read too; the mask format and its
+union (one shift, one OR and one popcount) belong to ``links``, and only
+the popcounts leave ``agglomerate``.  A min-heap of pairs, keyed by
+distance and then by the two groups' minimum segment ids, picks each
+merge; items of retired groups are skipped when popped (lazy
+invalidation).  No two active groups share a minimum segment id, so that
+key totally orders the live pairs and the heap merges in the same order
+as scanning every pair for the smallest key.  The linkage is reducible, because
 U(A+B, C) = U(A, C) | U(B, C) is at least as large as either part, so
 the merge heights never decrease along the merge order.
 
@@ -170,15 +170,24 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     orders live pairs exactly as a full scan for the smallest
     ``(distance, tie key)`` would.  Every pixel union (an entry's, or a
     group's cumulative one) is an immutable mask ``(bits, low, count)``
-    over the ranked footprint pixels: the entries come from one vectorised
-    pass over all link rays (``LinkStore._flat_pair_unions``, the same
-    footprints ``pair_union`` slices, without building its cache),
+    over the ranked footprint pixels: the entries are fresh lists around
+    the store's cached masks (``LinkStore._masks``), which they share,
     ``links._unite`` makes a new mask, and each cached ``count`` is read as
     a heap key, a merge distance or an ``a_cumulative``; only the counts
     leave this function.
+
+    Raises ``ValueError`` if two isols share an id or the store links a
+    segment that is not among ``isols``.
     """
     ordered = sorted(isols, key=lambda isol: isol.id)
     singleton_ids = {isol.id: idx for idx, isol in enumerate(ordered)}
+    if len(singleton_ids) < len(ordered):
+        repeated = next(a.id for a, b in zip(ordered, ordered[1:]) if a.id == b.id)
+        raise ValueError(f"isol id {repeated} is given more than once")
+    for pair in store.pairs():
+        for isol_id in pair:
+            if isol_id not in singleton_ids:
+                raise ValueError(f"linked pair {pair} names isol {isol_id}, which is not given")
     nodes = [
         HierarchyNode(id=idx, members=frozenset({isol.id}))
         for idx, isol in enumerate(ordered)
@@ -190,7 +199,7 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     # (empty) mask and distance 0.
     neighbours: dict[int, dict[int, list]] = {n.id: {} for n in nodes}
     heap: list[tuple[int, int, int, int, int]] = []
-    for (a, b), mask, link_count, length_sum in store._flat_pair_unions()[2]:
+    for (a, b), (mask, link_count, length_sum) in store._masks[2].items():
         lo, hi = singleton_ids[a], singleton_ids[b]
         neighbours[lo][hi] = neighbours[hi][lo] = [mask, link_count, length_sum]
         heap.append((mask[2], a, b, lo, hi))

@@ -13,10 +13,11 @@ in both axes, king-style) across interstitial label-0 pixels and either
 The connective distance between two segments is the number of distinct
 interstitial pixels covered by all their links together, so overlapping
 rays are only counted once.  Segment pairs with no links are infinitely
-far apart.  Every such pixel union is read from one vectorised footprint
-pass over the ray table (``LinkStore._footprint_pass``): ``agglomerate``
-ranks its pixels into bit masks (``Mask``, united by ``_unite``), and the
-distance accessors slice a cached copy of it.
+far apart.  Every such pixel union is held once, as a bit mask
+(``Mask``, united by ``_unite``) in one table per store
+(``LinkStore._masks``) built on first use from one vectorised pass over
+the ray table.  ``agglomerate`` and the distances read the masks' counts
+and unions; only ``pair_union`` decodes a mask into pixels.
 """
 
 from __future__ import annotations
@@ -96,13 +97,11 @@ class LinkStore:
     stably sorted by pair so that each pair keeps its links in the order
     given, beside a pair -> row range index.
     ``links_between`` builds new, equal ``ConnectiveLink`` objects from
-    the rows on each call.  Every pair's pixel union comes from one
-    vectorised pass over the table (``_footprint_pass``): ``pair_union``
-    slices a copy of it built on first use and cached, while
-    ``agglomerate`` reads a fresh one packed into bit masks
-    (``_flat_pair_unions``), so a run never builds the cache.  The union
-    accessors raise ``ValueError`` if a link pixel leaves the
-    non-negative int64 quadrant, which only a store built by hand can do.
+    the rows on each call.  Every pair's pixel union is one mask in
+    ``_masks``, built on first use and kept, since the ray table never
+    changes.  The union readers raise ``ValueError`` if a link pixel
+    leaves the non-negative int64 quadrant, which only a store built by
+    hand can do; the table then caches nothing, so they raise on every call.
     """
 
     def __init__(self, links_by_pair: Mapping[tuple[int, int], Sequence[ConnectiveLink]]):
@@ -172,25 +171,26 @@ class LinkStore:
         )
 
     def pair_union(self, a: int, b: int) -> set[PixelCoord]:
-        """Distinct interstitial pixels over the pair's links, in a new set the caller owns."""
-        at, xs, ys = self._footprints
-        rows = at.get(_key(a, b), slice(0))
-        return set(zip(xs[rows].tolist(), ys[rows].tolist()))
+        """Distinct interstitial pixels over the pair's links, in a new set the caller owns.
+
+        The one place a mask becomes pixels: its set bits are unpacked,
+        offset by its lowest rank and looked up in the ranked flat indices.
+        """
+        span, ranked, masks = self._masks
+        if _key(a, b) not in masks:
+            return set()
+        (bits, low, _), _, _ = masks[_key(a, b)]
+        on = np.unpackbits(
+            np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8),
+            bitorder="little",
+        )
+        ys, xs = np.divmod(ranked[low + np.flatnonzero(on)], span)
+        return set(zip(xs.tolist(), ys.tolist()))
 
     def link_stats(self, a: int, b: int) -> tuple[int, int]:
         """(link count, summed link length) for the pair; (0, 0) if unlinked."""
         rows = self._table[self._rows.get(_key(a, b), slice(0))]
         return len(rows), sum(rows[:, _COLUMNS.index("length")].tolist())
-
-    @cached_property
-    def _footprints(self) -> tuple[dict[tuple[int, int], slice], np.ndarray, np.ndarray]:
-        """``(pair -> slice, xs, ys)``: ``_footprint_pass`` split into x and y
-        columns for ``pair_union``, built on first use and kept, since the
-        ray table never changes."""
-        span, flat, bounds = self._footprint_pass()
-        ys, xs = np.divmod(flat, span)
-        bounds = bounds.tolist()
-        return dict(zip(self._rows, map(slice, bounds, bounds[1:]))), xs, ys
 
     def _footprint_pass(self) -> tuple[int, np.ndarray, np.ndarray]:
         """``(span, flat, bounds)``: every linked pair's distinct footprint
@@ -246,26 +246,24 @@ class LinkStore:
         bounds = np.searchsorted(keys, np.arange(len(pairs) + 1) * size)
         return span, np.remainder(keys, size, out=keys), bounds
 
-    def _flat_pair_unions(
-        self,
-    ) -> tuple[int, np.ndarray, list[tuple[tuple[int, int], Mask, int, int]]]:
-        """``(span, ranked, rows)``: one row ``(pair, mask, link count, length
-        sum)`` per linked pair, sorted by pair, for ``agglomerate``.
+    @cached_property
+    def _masks(self) -> tuple[int, np.ndarray, dict[tuple[int, int], tuple[Mask, int, int]]]:
+        """``(span, ranked, {pair: (mask, link count, length sum)})`` over
+        every linked pair, sorted by pair; built on first use and kept.
 
         ``ranked`` holds every distinct footprint pixel as a flat index
         ``y * span + x`` (``span`` as in ``_footprint_pass``), ascending, so
         a pixel's rank is its row-major position among them.  ``mask`` is
-        ``pair_union`` as ``(bits, low, count)``: bit ``i`` of the int
-        ``bits`` stands for rank ``low + i``, ``low`` is the pair's lowest
-        rank (0 for an empty mask) and ``count`` the number of set bits.
-        The pixels come from a fresh ``_footprint_pass``, not from the
-        cached ``_footprints``, so a run holds no second copy; one more
-        sort ranks them, and their bits are packed into one byte buffer
-        that each mask is read from.
+        the pair's pixel union as ``(bits, low, count)``: bit ``i`` of the
+        int ``bits`` stands for rank ``low + i``, ``low`` is the pair's
+        lowest rank (0 for an empty mask) and ``count`` the number of set
+        bits.  One more sort of the footprint pass ranks the pixels, and
+        their bits are packed into one byte buffer that each mask is read
+        from.  The masks are immutable, so readers may share them.
         """
         span, flat, bounds = self._footprint_pass()
         if not self._rows:
-            return span, flat, []
+            return span, flat, {}
         pairs = self.pairs()
         counts = [rows.stop - rows.start for rows in self._rows.values()]
         length = self._table[:, _COLUMNS.index("length")]
@@ -305,13 +303,13 @@ class LinkStore:
         # reduceat keeps the sums exact int64; every pair has a link.
         sums = np.add.reduceat(length, np.cumsum(counts) - counts).tolist()
         byte_bounds = byte_bounds.tolist()
-        rows = [
-            (pair, (int.from_bytes(buffer[b0:b1], "little"), lo, count), links, total)
+        masks = {
+            pair: ((int.from_bytes(buffer[b0:b1], "little"), lo, count), links, total)
             for pair, b0, b1, lo, count, links, total in zip(
                 pairs, byte_bounds, byte_bounds[1:], low.tolist(), npix.tolist(), counts, sums
             )
-        ]
-        return span, ranked, rows
+        }
+        return span, ranked, masks
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -430,7 +428,7 @@ def pair_distance(store: LinkStore, a: int, b: int) -> int | float:
     """
     if not store.has_links(a, b):
         return NO_CONNECTION
-    return len(store.pair_union(a, b))
+    return store._masks[2][_key(a, b)][0][2]
 
 
 def group_distance(
@@ -438,23 +436,23 @@ def group_distance(
 ) -> int | float:
     """Connective distance between two disjoint groups of segments.
 
-    The pixel-set union runs over every cross pair, so shared interstitial
-    pixels are not double counted and the result can be well below the sum
-    of pair distances.
+    The pixel union runs over every cross pair's mask, so shared
+    interstitial pixels are not double counted and the result can be well
+    below the sum of pair distances.
     """
     set_a, set_b = frozenset(group_a), frozenset(group_b)
     if not set_a or not set_b:
         raise ValueError("groups must be non-empty")
     if set_a & set_b:
         raise ValueError(f"groups overlap: {sorted(set_a & set_b)}")
-    union: set[PixelCoord] = set()
-    linked = False
-    for a in set_a:
-        for b in set_b:
-            if store.has_links(a, b):
-                linked = True
-                union |= store.pair_union(a, b)
-    return len(union) if linked else NO_CONNECTION
+    linked = [_key(a, b) for a in set_a for b in set_b if store.has_links(a, b)]
+    if not linked:
+        return NO_CONNECTION
+    masks = store._masks[2]
+    union = _EMPTY
+    for pair in linked:
+        union = _unite(union, masks[pair][0])
+    return union[2]
 
 
 def dump_links_csv(store: LinkStore, stream: IO[str]) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from crownmerge import (
 )
 from crownmerge.cli import PipelineConfig, REPORT_SCHEMA, main, run_pipeline
 
-from conftest import QUAD_GRID
+from conftest import QUAD_GRID, mosaic
 
 
 def write_quad(tmp_path: Path) -> Path:
@@ -124,6 +125,36 @@ def test_run_pipeline_builds_no_link_objects(tmp_path, monkeypatch):
     for name in files:
         a, b = tmp_path / "a" / name, tmp_path / "b" / name
         assert a.is_dir() or a.read_bytes() == b.read_bytes(), name
+
+
+def _artifact_digest(out_dir: Path) -> str:
+    """SHA-256 over every file under ``out_dir`` by relative path: path,
+    size, bytes (as ``perfbench/workloads.py`` ``artifact_digest``)."""
+    h = hashlib.sha256()
+    by_name = {p.relative_to(out_dir).as_posix(): p for p in out_dir.rglob("*") if p.is_file()}
+    for rel, path in sorted(by_name.items()):
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((0, 40, 48, 1), "2c711047dd3904c0d257ead52b49404c474547dc19e2752575b46a94345a469d"),
+        ((1, 40, 48, 2), "e2548a7b4739e1885e1690839a84b587954559d5900313f8aebd329dd4f6bb7e"),
+    ],
+)
+def test_run_pipeline_canopy_artifacts_are_pinned(tmp_path, args, digest):
+    # Canopy-shaped scenes: short rays, heavily overlapping footprints and
+    # many distance ties.  Any change to a merge, a parameter, a cut or a
+    # byte of any artifact changes the digest.
+    path = tmp_path / "scene.txt"
+    path.write_text(dump_text_grid(mosaic(*args)))
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(input_path=path, out_dir=out, dump_links=True))
+    assert _artifact_digest(out) == digest
 
 
 def test_run_pipeline_lw_stream(tmp_path):

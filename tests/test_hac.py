@@ -143,6 +143,23 @@ def test_scene_with_no_links_stays_singletons():
     assert h.roots == (0,)
 
 
+def _bare_isols(ids):
+    return [Isol(id=i, pixels=frozenset(), edge_pixels=frozenset()) for i in ids]
+
+
+def test_agglomerate_rejects_a_linked_segment_missing_from_isols():
+    store = LinkStore({(2, 9): [ConnectiveLink(2, 9, "E", (0, 0), 1)]})
+    with pytest.raises(ValueError, match=r"\(2, 9\) names isol 9"):
+        agglomerate(_bare_isols([1, 2]), store)
+
+
+def test_agglomerate_rejects_repeated_isol_ids():
+    # Two singletons with members {2} would leave one of them unmerged.
+    store = LinkStore({(1, 2): [ConnectiveLink(1, 2, "E", (0, 0), 1)]})
+    with pytest.raises(ValueError, match="isol id 2 is given more than once"):
+        agglomerate(_bare_isols([2, 1, 2]), store)
+
+
 def test_group_pixels_unions_members(quad):
     isols = by_id(quad.isols)
     pixels = group_pixels(quad.hierarchy, isols, 4)

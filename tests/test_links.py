@@ -224,23 +224,23 @@ def _assert_cast_rays_matches_walk(raster, max_ray, reverse):
 @example(LabeledRaster.from_array([[1], [0], [0], [2], [0], [3], [0], [1]]), 2)  # Nx1
 @example(LabeledRaster.from_array([[1, 0, 2], [0, 0, 0], [3, 0, 4]]), None)  # row 0, column 0
 def test_flat_pair_unions_match_pair_union_and_link_stats(raster, max_ray):
-    # pair_union reads the same footprint pass, so the masks are checked
-    # against the union of the links' own interstitial pixels instead.
+    # pair_union decodes these same masks, so they are checked against
+    # the union of the links' own interstitial pixels instead.
     store = cast_rays(raster, extract_isols(raster), max_ray=max_ray)
-    span, ranked, rows = store._flat_pair_unions()
-    assert [pair for pair, *_ in rows] == list(store.pairs())
+    span, ranked, masks = store._masks
+    assert list(masks) == list(store.pairs())
     # Ranks are row-major: the flat indices ascend, each one pixel.
     assert ranked.tolist() == sorted(set(ranked.tolist()))
     pixels = [(x, y) for y, x in (divmod(flat, span) for flat in ranked.tolist())]
     assert all(0 <= x < span for x, _ in pixels)
     footprint = set()
-    for pair, (bits, low, count), link_count, length_sum in rows:
+    for pair, ((bits, low, count), link_count, length_sum) in masks.items():
         assert all(type(v) is int for v in (bits, low, count))
         assert count == bits.bit_count()
         # The offset is the lowest rank, so bit 0 is set unless empty.
         assert bits & 1 if count else (bits, low) == (0, 0)
         decoded = {pixels[low + i] for i in range(bits.bit_length()) if bits >> i & 1}
-        assert decoded == raw_union(store, {pair[0]}, {pair[1]})[0]
+        assert decoded == raw_union(store, {pair[0]}, {pair[1]})[0] == store.pair_union(*pair)
         assert (link_count, length_sum) == store.link_stats(*pair)
         footprint |= decoded
     assert footprint == set(pixels)
@@ -248,18 +248,19 @@ def test_flat_pair_unions_match_pair_union_and_link_stats(raster, max_ray):
 
 def test_flat_pair_unions_of_touching_pair_are_empty_but_linked():
     store = scene([[1, 2]]).store
-    span, ranked, rows = store._flat_pair_unions()
+    span, ranked, masks = store._masks
     assert ranked.tolist() == []
-    assert rows == [((1, 2), (0, 0, 0), 2, 0)]
+    assert masks == {(1, 2): ((0, 0, 0), 2, 0)}
+    assert store.pair_union(1, 2) == set()
 
 
 def test_flat_pair_unions_span_covers_far_ends():
     # Cast rays always come in mirrored pairs; a store built by hand need
     # not, so the span must bound the far end of a one-way link too.
     store = LinkStore({(1, 2): [ConnectiveLink(1, 2, "SE", (0, 0), 3)]})
-    span, ranked, rows = store._flat_pair_unions()
+    span, ranked, masks = store._masks
     assert (span, ranked.tolist()) == (4, [5, 10, 15])
-    assert rows == [((1, 2), (0b111, 0, 3), 1, 3)]
+    assert masks == {(1, 2): ((0b111, 0, 3), 1, 3)}
 
 
 def test_flat_pair_unions_offset_masks_by_lowest_rank():
@@ -270,9 +271,10 @@ def test_flat_pair_unions_offset_masks_by_lowest_rank():
         (1, 2): [ConnectiveLink(1, 2, "E", (0, 1), 3)],
         (2, 3): [ConnectiveLink(3, 2, "E", (0, 3), 3), ConnectiveLink(2, 3, "W", (4, 3), 2)],
     })
-    span, ranked, rows = store._flat_pair_unions()
+    span, ranked, masks = store._masks
     assert (span, ranked.tolist()) == (5, [6, 7, 8, 16, 17, 18])
-    assert rows == [((1, 2), (0b111, 0, 3), 1, 3), ((2, 3), (0b111, 3, 3), 2, 5)]
+    assert masks == {(1, 2): ((0b111, 0, 3), 1, 3), (2, 3): ((0b111, 3, 3), 2, 5)}
+    assert store.pair_union(2, 3) == {(1, 3), (2, 3), (3, 3)}
 
 
 @pytest.mark.parametrize(
@@ -289,10 +291,10 @@ def test_flat_pair_unions_reject_unkeyable_pixels(link, message):
     # Pixels off the raster's quadrant would collide as flat indices, far
     # ends past int64 would wrap, and too wide a bounding box would
     # overflow the pair-major keys.  Every union reader says so, again on
-    # a second call: a failed build of the cached view keeps nothing.
+    # a second call: a failed build of the mask table keeps nothing.
     store = LinkStore({(1, 2): [link]})
     readers = (
-        store._flat_pair_unions,
+        lambda: store._masks,
         lambda: store.pair_union(1, 2),
         lambda: pair_distance(store, 1, 2),
         lambda: group_distance(store, {2}, {1}),
@@ -300,7 +302,27 @@ def test_flat_pair_unions_reject_unkeyable_pixels(link, message):
     for read in readers * 2:
         with pytest.raises(ValueError, match=message):
             read()
-    assert "_footprints" not in store.__dict__
+    # Unlinked queries answer without building the table.
+    assert pair_distance(store, 1, 3) == group_distance(store, {1}, {3}) == NO_CONNECTION
+    assert "_masks" not in store.__dict__
+
+
+def test_footprint_pass_runs_once_per_store(monkeypatch):
+    # agglomerate and every union reader share one mask table, so the
+    # vectorised pass over the ray table runs once, however often they read.
+    calls = []
+    footprint_pass = LinkStore._footprint_pass
+    monkeypatch.setattr(
+        LinkStore, "_footprint_pass", lambda self: calls.append(1) or footprint_pass(self)
+    )
+    bundle = build_bundle(mosaic(0, n_cells=40, size=48, valley=1))
+    store, isols = bundle.store, bundle.isols
+    assert len(store) > 100 and bundle.hierarchy.merge_node_ids()
+    for a, b in store.pairs():
+        assert len(store.pair_union(a, b)) == pair_distance(store, a, b)
+        assert group_distance(store, {a}, {b}) == pair_distance(store, b, a)
+    assert group_distance(store, [isols[0].id], [isol.id for isol in isols[1:]]) > 0
+    assert len(calls) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -311,8 +333,6 @@ def test_flat_pair_unions_reject_unkeyable_pixels(link, message):
 def test_distances_match_raw_union_oracle(raster, max_ray, data):
     bundle = build_bundle(raster, max_ray=max_ray)
     store = bundle.store
-    # A run reads a fresh footprint pass, so it keeps no cached copy.
-    assert "_footprints" not in store.__dict__
     ids = [isol.id for isol in bundle.isols]
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:

@@ -29,7 +29,7 @@ from crownmerge import (
     write_cluster_raster,
 )
 
-from conftest import LABEL_VALUES, QUAD_GRID, label_rasters, synth_rasters
+from conftest import LABEL_VALUES, QUAD_GRID, label_rasters, mosaic_rasters, synth_rasters
 from oracles import brute_force_isols, format_rows, parse_text_rows
 
 
@@ -520,7 +520,7 @@ def test_extract_relabeling_permutes_output():
 
 
 @settings(max_examples=200, deadline=None)
-@given(label_rasters() | synth_rasters)
+@given(label_rasters() | synth_rasters | mosaic_rasters)
 @example(LabeledRaster.from_array([[7, 0, 0, 7]]))  # disconnected patches
 @example(LabeledRaster.from_array([[1], [2], [0], [2]]))  # touching, Nx1
 @example(LabeledRaster.from_array([[2**63 - 1, 65536], [256, 0]]))  # wide labels

@@ -26,7 +26,7 @@ from crownmerge import (
 )
 from crownmerge.termination import dump_histogram_csv, dump_trace_csv
 
-from conftest import build_bundle, label_rasters, max_rays
+from conftest import build_bundle, label_rasters, max_rays, mosaic, mosaic_rasters
 import oracles
 
 
@@ -67,8 +67,9 @@ def _oracle_params(raster, hierarchy, max_ray) -> dict[int, NodeParams]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(label_rasters(), max_rays)
+@given(label_rasters() | mosaic_rasters, max_rays)
 @example(LabeledRaster.from_array([[1, 0, 2, 0, 0, 3, 0, 0, 0, 4]]), None)  # widening gaps
+@example(mosaic(1, n_cells=40, size=48, valley=2), None)  # canopy-shaped, many ties
 def test_params_and_breakpoints_match_oracles_on_raw_rasters(raster, max_ray):
     assert set(oracles.STREAM_VALUES) == set(NAMED_STREAMS)
     bundle = build_bundle(raster, max_ray=max_ray)
