@@ -47,7 +47,7 @@ from .raster_io import (
     sniff_format,
     write_cluster_raster,
 )
-from .synth import SynthScene, generate_random, generate_ring
+from .synth import SynthScene, generate_canopy, generate_random, generate_ring
 from .termination import (
     BreakCounts,
     PathTrace,
@@ -98,6 +98,7 @@ __all__ = [
     "extract_isols",
     "filter_terminals",
     "first_differences",
+    "generate_canopy",
     "generate_random",
     "generate_ring",
     "group_distance",

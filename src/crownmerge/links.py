@@ -335,63 +335,79 @@ def cast_rays(
         raster: the labeled scene.
         isols: its segments (from :func:`extract_isols`).
         max_ray: abandon rays crossing more than this many interstitial
-            pixels; ``None`` means unlimited.
+            pixels; ``None`` means unlimited and 0 keeps only touching links.
+
+    Raises:
+        ValueError: ``max_ray`` is negative, or an edge pixel of a segment
+            lies outside the raster or does not carry that segment's label.
 
     Every surviving ray is stored, one link per originating edge pixel and
     direction, even when two rays cover the same pixels; the union-based
     distance is unaffected by such duplicates.
 
-    No ray is walked.  Every labelled pixel gets a key ``line * span +
-    position`` on each of four axes (rows, columns, ``x - y`` diagonals,
-    ``x + y`` anti-diagonals), and each axis's keys are sorted once.  A
-    ray's first labelled pixel is then the next key above (or below) its
-    origin's key, found for all edge pixels at once with one
-    ``searchsorted`` per direction; it counts only if it lies on the same
-    line, and its label and distance follow from the key.  Only rays that
-    reach another segment within ``max_ray`` become ray-table rows, in the
-    order of the segments as given, their sorted edge pixels, then
-    ``DIRECTIONS``, so the link order is that of a pixel-by-pixel walk.
+    No ray is walked.  A ray's origin is itself a labelled pixel, so its
+    first labelled pixel along a direction is the origin's neighbour in
+    that axis's sorted order.  One ``searchsorted`` places every origin
+    among the labelled pixels.  Then, on each of four axes (columns, ``x +
+    y`` anti-diagonals, rows, ``x - y`` diagonals), every labelled pixel
+    is keyed by its ``line`` and its ``position`` along the axis and
+    sorted once; the next pixel in that order is the hit of the axis's
+    direction, the previous one the hit of its opposite.  A hit counts
+    only if it lies on the same line, and its distance follows from the
+    positions.  Only rays that reach another segment within ``max_ray``
+    become ray-table rows, in the order of the segments as given, their
+    sorted edge pixels, then ``DIRECTIONS``, so the link order is that of
+    a pixel-by-pixel walk.
     """
+    if max_ray is not None and max_ray < 0:
+        raise ValueError(f"max_ray must be >= 0, got {max_ray}")
     width, height = raster.width, raster.height
     edges = [sorted(isol.edge_pixels) for isol in isols]
     counts = [len(edge) for edge in edges]
-    flat = raster.labels.ravel()
-    nonzero = np.flatnonzero(flat)
-    if not sum(counts) or not nonzero.size:
+    if not sum(counts):
         return LinkStore({})
 
     pixels = chain.from_iterable(chain.from_iterable(edges))
     coords = np.fromiter(pixels, dtype=np.int64, count=2 * sum(counts))
     ox, oy = coords[0::2], coords[1::2]
-    ys, xs = np.divmod(nonzero, width)
-    labelled = flat[nonzero]
     own = np.repeat(np.array([isol.id for isol in isols], dtype=np.int64), counts)
+    flat = raster.labels.ravel()
+    nonzero = np.flatnonzero(flat)
+    labelled = flat[nonzero]
 
-    # One sorted key array per axis, shared by its two opposite directions.
-    axes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    # Every origin must be the labelled pixel at ``at`` and carry its own id.
+    inside = (ox >= 0) & (ox < width) & (oy >= 0) & (oy < height)
+    origin_flat = np.where(inside, oy * width + ox, -1)
+    # A sentinel past the end stands for an origin beyond the last pixel.
+    at = np.searchsorted(nonzero, origin_flat)
+    placed = inside & (np.append(nonzero, -1)[at] == origin_flat)
+    placed &= np.append(labelled, 0)[at] == own
+    if not placed.all():
+        i = int(np.argmin(placed))
+        raise ValueError(
+            f"isol {own[i]} edge pixel ({ox[i]}, {oy[i]}) is not a pixel "
+            f"labelled {own[i]} in the {width}x{height} raster"
+        )
+
     target = np.zeros((len(own), len(DIRECTIONS)), dtype=np.int64)
     length = np.zeros_like(target)
     reached = np.zeros(target.shape, dtype=bool)
-    for d, (_, dx, dy) in enumerate(DIRECTIONS):
-        forward = (dx or dy) > 0
-        axis = (dx, dy) if forward else (-dx, -dy)
-        if axis not in axes:
-            keys, _ = _line_keys(xs, ys, dx, dy, width, height)
-            order = np.argsort(keys)
-            axes[axis] = (keys[order], labelled[order])
-        keys, key_labels = axes[axis]
-        origin_key, span = _line_keys(ox, oy, dx, dy, width, height)
-        if forward:
-            hit = np.searchsorted(keys, origin_key, side="right")
-        else:
-            hit = np.searchsorted(keys, origin_key, side="left") - 1
-        inside = (hit >= 0) & (hit < keys.size)
-        hit = hit.clip(0, keys.size - 1)
-        hit_key = keys[hit]
-        inside &= hit_key // span == origin_key // span
-        target[:, d] = key_labels[hit]
-        length[:, d] = np.abs(hit_key - origin_key) - 1
-        reached[:, d] = inside & (target[:, d] != own)
+    ys, xs = np.divmod(nonzero, width)
+    # Keys are line-major; |position| < width + height, so they are distinct.
+    for d, (_, dx, dy) in enumerate(DIRECTIONS[:4]):
+        line, position = dy * xs - dx * ys, dx * xs + dy * ys
+        order = np.argsort(line * (2 * (width + height) + 1) + position)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        here = rank[at]
+        for e, step in ((d, 1), (d + 4, -1)):
+            neighbour = here + step
+            found = (neighbour >= 0) & (neighbour < order.size)
+            hit = order[neighbour.clip(0, order.size - 1)]
+            found &= line[hit] == line[at]
+            target[:, e] = labelled[hit]
+            length[:, e] = np.abs(position[hit] - position[at]) // (abs(dx) + abs(dy)) - 1
+            reached[:, e] = found & (target[:, e] != own)
     if max_ray is not None:
         reached &= length <= max_ray
 
@@ -400,19 +416,6 @@ def cast_rays(
     return LinkStore._from_table(np.column_stack((
         own[origin], target.ravel()[rays], direction, ox[origin], oy[origin], length.ravel()[rays]
     )))
-
-
-def _line_keys(x, y, dx: int, dy: int, width: int, height: int):
-    """``(line * span + position, span)`` of pixels on the axis of
-    ``(dx, dy)``; the position grows along the axis's positive step and
-    ``span`` is the number of positions per line."""
-    if dy == 0:
-        return y * width + x, width
-    if dx == 0:
-        return x * height + y, height
-    if dx == dy:
-        return (x - y + height - 1) * width + x, width
-    return (x + y) * width + x, width
 
 
 # ---------------------------------------------------------------------------

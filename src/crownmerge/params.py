@@ -95,16 +95,10 @@ def validate_stream(choice: str) -> None:
 
 
 def _stream_extractor(choice: str):
-    if choice == "a_merge":
-        return lambda p: float(p.a_merge)
     if choice == "lw_over_acum":
-        return lambda p: p.lw_ratio / p.a_cumulative if p.a_cumulative else 0.0
-    if choice == "n_pix":
-        return lambda p: float(p.n_pix)
-    if choice == "n_edge":
-        return lambda p: float(p.n_edge)
-    if choice == "a_cumulative":
-        return lambda p: float(p.a_cumulative)
+        choice = "ratio:lw_ratio/a_cumulative"
+    if choice in NAMED_STREAMS:
+        return lambda p: float(getattr(p, choice))
     if choice.startswith("ratio:"):
         body = choice[len("ratio:") :]
         numer, sep, denom = body.partition("/")

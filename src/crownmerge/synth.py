@@ -1,10 +1,11 @@
 """Deterministic synthetic scenes with known ground truth.
 
-Two generators: a ring of small blobs with narrow valleys plus far-away
-outlier bars (the oversegmented-object analog), and scattered random
-blobs (each its own truth group).  All geometry is integer and derived
-exclusively from the seed through one fixed RNG, so a scene regenerates
-bit-identically on any platform.
+Three generators: a ring of small blobs with narrow valleys plus far-away
+outlier bars (the oversegmented-object analog), scattered random blobs
+(each its own truth group), and a canopy-like Voronoi mosaic of crowns
+split by 1-2 px valleys.  Every scene is derived exclusively from the
+seed through one fixed RNG, so it regenerates bit-identically on any
+platform.
 """
 
 from __future__ import annotations
@@ -245,3 +246,54 @@ def generate_random(seed: int, n_isols: int, size: int = 40) -> SynthScene:
     raster = _paint(size, blobs)
     truth = tuple(frozenset({i}) for i in range(1, n_isols + 1))
     return SynthScene(raster=raster, truth_groups=truth, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# canopy mosaics
+# ---------------------------------------------------------------------------
+
+#: Distances computed per block of rows, at most this many (or one row).
+_BLOCK_DISTANCES = 1 << 20
+
+
+def generate_canopy(seed: int, n_crowns: int, size: int, valley: int = 1) -> SynthScene:
+    """A Voronoi mosaic of ``n_crowns`` labels on ``size``², split by valleys.
+
+    Each pixel takes the label (1..n_crowns) of its nearest of ``n_crowns``
+    seed points drawn uniformly from ``numpy.random.default_rng(seed)``
+    (ties go to the lower label); then every pixel whose right or lower
+    neighbour has another label is set to 0, and with ``valley=2`` also
+    every pixel whose left or upper one has, so the valleys are 1 or 2 px
+    wide.  A crown can vanish into the valleys or split into fragments, as
+    in a canopy scene.  Distances are taken a block of rows at a time, so
+    memory stays within a few times ``size * n_crowns`` floats.
+
+    truth_groups lists each label present as its own group.
+
+    Raises:
+        ValueError: ``n_crowns`` or ``size`` is below 1, or ``valley`` is
+            not 1 or 2.
+    """
+    if n_crowns < 1:
+        raise ValueError(f"n_crowns must be at least 1, got {n_crowns}")
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
+    if valley not in (1, 2):
+        raise ValueError(f"valley must be 1 or 2, got {valley}")
+    seeds = np.random.default_rng(seed).uniform(0, size, (n_crowns, 2))
+    axis = np.arange(size)[:, None]
+    dx2, dy2 = (axis - seeds[:, 0]) ** 2, (axis - seeds[:, 1]) ** 2
+    cells = np.empty((size, size), dtype=np.int64)
+    rows = max(1, _BLOCK_DISTANCES // (size * n_crowns))
+    for y in range(0, size, rows):
+        cells[y : y + rows] = (dx2 + dy2[y : y + rows, None]).argmin(-1) + 1
+    ground = np.zeros(cells.shape, dtype=bool)
+    ground[:, :-1] |= cells[:, :-1] != cells[:, 1:]
+    ground[:-1, :] |= cells[:-1, :] != cells[1:, :]
+    if valley == 2:
+        ground[:, 1:] |= cells[:, 1:] != cells[:, :-1]
+        ground[1:, :] |= cells[1:, :] != cells[:-1, :]
+    cells[ground] = 0
+    present = np.flatnonzero(np.bincount(cells.ravel(), minlength=1)[1:]) + 1
+    truth = tuple(frozenset({label}) for label in present.tolist())
+    return SynthScene(raster=LabeledRaster.from_array(cells), truth_groups=truth, seed=seed)

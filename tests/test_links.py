@@ -15,6 +15,7 @@ from crownmerge import (
     DIRECTIONS,
     NO_CONNECTION,
     ConnectiveLink,
+    Isol,
     LabeledRaster,
     LinkStore,
     cast_rays,
@@ -177,6 +178,43 @@ def test_max_ray_caps_interstitial_length():
     assert pair_distance(capped, 1, 2) == 4
 
 
+def test_max_ray_zero_keeps_touching_links_and_negative_is_rejected():
+    raster = LabeledRaster.from_array([[1, 2, 0, 3]])
+    isols = extract_isols(raster)
+    assert cast_rays(raster, isols, max_ray=0).pairs() == ((1, 2),)
+    assert cast_rays(raster, isols).pairs() == ((1, 2), (2, 3))
+    with pytest.raises(ValueError, match="max_ray must be >= 0, got -1"):
+        cast_rays(raster, isols, max_ray=-1)
+
+
+def _isol(id_, *edge):
+    return Isol(id_, frozenset(edge), frozenset(edge))
+
+
+@pytest.mark.parametrize(
+    "rows, isol, stray",
+    [
+        ([[1, 0, 2]], _isol(7, (0, 0)), (0, 0)),  # another segment's pixel
+        ([[1, 0, 2]], _isol(2, (2, 0), (0, 0)), (0, 0)),
+        ([[1, 0, 2]], _isol(2, (2, 0), (5, 5)), (5, 5)),  # off the raster
+        ([[1, 0, 2]], _isol(1, (0, -1), (0, 0)), (0, -1)),
+        ([[1, 0, 2]], _isol(1, (0, 0), (1, 0)), (1, 0)),  # ground
+        ([[0, 0, 0]], _isol(1, (1, 0)), (1, 0)),  # every pixel ground
+        ([[0, 0, 0]], _isol(1, (3, 0)), (3, 0)),
+    ],
+)
+def test_cast_rays_rejects_stray_origins(rows, isol, stray):
+    # Every ray starts on a pixel of its own segment; anything else used to
+    # give one-sided links, links to segments that are not given, or none.
+    raster = LabeledRaster.from_array(rows)
+    message = (
+        f"isol {isol.id} edge pixel \\({stray[0]}, {stray[1]}\\) is not a pixel "
+        f"labelled {isol.id} in the 3x1 raster"
+    )
+    with pytest.raises(ValueError, match=message):
+        cast_rays(raster, [isol])
+
+
 @settings(max_examples=200, deadline=None)
 @given(label_rasters() | synth_rasters, max_rays, st.booleans())
 @example(LabeledRaster.from_array([[1, 0, 1, 0, 2]]), None, False)  # back to own label
@@ -189,6 +227,10 @@ def test_cast_rays_matches_pixel_walk_oracle(raster, max_ray, reverse):
 @settings(max_examples=100, deadline=None)
 @given(mosaic_rasters, max_rays, st.booleans())
 @example(mosaic(0, n_cells=40, size=48, valley=1), None, False)
+# Not square: the sort keys of cast_rays mix width and height.
+@example(LabeledRaster.from_array(mosaic(0, 40, 48, 1).labels[:12]), None, False)
+@example(LabeledRaster.from_array(mosaic(0, 40, 48, 1).labels[:, :12]), None, True)
+@example(LabeledRaster.from_array(mosaic(1, 40, 48, 2).labels[5:9, 3:45]), 2, False)
 def test_cast_rays_matches_pixel_walk_oracle_on_mosaics(raster, max_ray, reverse):
     # Canopy-shaped: mostly 0-2 px rays, length 0 at valley corners.
     _assert_cast_rays_matches_walk(raster, max_ray, reverse)

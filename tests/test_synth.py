@@ -10,9 +10,11 @@ import pytest
 from crownmerge import (
     cast_rays,
     extract_isols,
+    generate_canopy,
     generate_random,
     generate_ring,
     pair_distance,
+    synth,
 )
 
 
@@ -129,3 +131,64 @@ def test_ring_blobs_sit_far_from_distractors(seed):
             cross.append(d)
     assert intra and cross
     assert statistics.median(intra) * 5 < statistics.median(cross)
+
+
+# ---------------------------------------------------------------------------
+# canopy mosaics
+# ---------------------------------------------------------------------------
+
+
+def _canopy_at_once(seed, n_crowns, size, valley):
+    """The mosaic from every pixel's distance to every seed at once."""
+    seeds = np.random.default_rng(seed).uniform(0, size, (n_crowns, 2))
+    ys, xs = np.mgrid[0:size, 0:size]
+    distance = (xs[..., None] - seeds[:, 0]) ** 2 + (ys[..., None] - seeds[:, 1]) ** 2
+    cells = distance.argmin(-1).astype(np.int64) + 1
+    ground = np.zeros(cells.shape, dtype=bool)
+    ground[:, :-1] |= cells[:, :-1] != cells[:, 1:]
+    ground[:-1, :] |= cells[:-1, :] != cells[1:, :]
+    if valley == 2:
+        ground[:, 1:] |= cells[:, 1:] != cells[:, :-1]
+        ground[1:, :] |= cells[1:, :] != cells[:-1, :]
+    cells[ground] = 0
+    return cells
+
+
+@pytest.mark.parametrize("block", [1, 7, synth._BLOCK_DISTANCES])
+@pytest.mark.parametrize(
+    "args", [(0, 40, 48, 1), (1, 40, 48, 2), (5, 1, 9, 1), (6, 30, 1, 2), (7, 60, 96, 1)]
+)
+def test_canopy_matches_distances_taken_at_once(monkeypatch, block, args):
+    # Block-wise rows (one row, seven distances, the default) change no label.
+    monkeypatch.setattr(synth, "_BLOCK_DISTANCES", block)
+    labels = generate_canopy(*args).raster.labels
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, _canopy_at_once(*args))
+
+
+def test_canopy_is_reproducible_and_truth_lists_labels_present():
+    a = generate_canopy(3, 40, 48, valley=2)
+    b = generate_canopy(3, 40, 48, valley=2)
+    assert np.array_equal(a.raster.labels, b.raster.labels)
+    assert a.seed == 3
+    ids = a.raster.positive_ids()
+    assert a.truth_groups == b.truth_groups == tuple(frozenset({i}) for i in ids)
+    assert set(ids) <= set(range(1, 41))
+    assert not np.array_equal(a.raster.labels, generate_canopy(4, 40, 48, 2).raster.labels)
+
+
+def test_canopy_valleys_split_every_pair_of_crowns():
+    labels = generate_canopy(0, 30, 40, valley=1).raster.labels
+    right, down = labels[:, 1:], labels[1:, :]
+    assert not ((labels[:, :-1] > 0) & (right > 0) & (labels[:, :-1] != right)).any()
+    assert not ((labels[:-1, :] > 0) & (down > 0) & (labels[:-1, :] != down)).any()
+    assert (labels == 0).any()
+
+
+def test_canopy_validation():
+    with pytest.raises(ValueError, match="n_crowns"):
+        generate_canopy(0, 0, 10)
+    with pytest.raises(ValueError, match="size"):
+        generate_canopy(0, 5, 0)
+    with pytest.raises(ValueError, match="valley"):
+        generate_canopy(0, 5, 10, valley=3)
