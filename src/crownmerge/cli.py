@@ -94,6 +94,11 @@ def _analyse(
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     raster, isols = _load(config)
     analysis = _analyse(config, raster, isols)
+    # Only the input's shape is read after the rays are cast.  Dropping the
+    # raster here frees its labels before clusters.pgm is painted on a full
+    # canvas of the same size, so the run never holds both.
+    shape = raster.width, raster.height
+    del raster
     hierarchy, by_id = analysis.hierarchy, analysis.by_id
     breaks = termination.count_breaks(hierarchy, analysis.traces, p=config.significance_p)
     trimmed = termination.trim(hierarchy, breaks)
@@ -101,7 +106,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     candidates = ranking.rank_candidates(hierarchy, by_id, terminals, key=config.score_key)
     # Rendered before anything is written: it is the one artifact that can
     # still fail (more than 65535 candidates), and then no --out is made.
-    clusters = _render_clusters(raster, hierarchy, by_id, candidates)
+    clusters = _render_clusters(shape, hierarchy, by_id, candidates)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(config, hierarchy, breaks, candidates)
@@ -170,13 +175,14 @@ def _write_hierarchy(config, hierarchy) -> None:
     )
 
 
-def _render_clusters(raster, hierarchy, by_id, candidates) -> bytes:
-    """The ``clusters.pgm`` bytes: each candidate painted with its rank."""
+def _render_clusters(shape, hierarchy, by_id, candidates) -> bytes:
+    """The ``clusters.pgm`` bytes of a (width, height) scene: each candidate
+    painted with its rank on blank ground."""
     groups = [
         (rank, sorted(hierarchy.node(c.node_id).members))
         for rank, c in enumerate(candidates, start=1)
     ]
-    painted = raster_io.write_cluster_raster(raster, groups, by_id)
+    painted = raster_io.write_cluster_raster(raster_io._ground(*shape), groups, by_id)
     return raster_io.dump_pgm(painted)
 
 

@@ -26,7 +26,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -368,7 +368,18 @@ def cast_rays(
         return LinkStore({})
 
     pixels = chain.from_iterable(chain.from_iterable(edges))
-    coords = np.fromiter(pixels, dtype=np.int64, count=2 * sum(counts))
+    try:
+        coords = np.fromiter(pixels, dtype=np.int64, count=2 * sum(counts))
+    except OverflowError:
+        # A coordinate past int64 is off the raster, as -1 is: the check
+        # below then reports the first stray origin, whatever its kind.
+        top = np.iinfo(np.int64).max
+        pixels = chain.from_iterable(chain.from_iterable(edges))
+        coords = np.fromiter(
+            (v if -1 <= v <= top else -1 for v in pixels),
+            dtype=np.int64,
+            count=2 * sum(counts),
+        )
     ox, oy = coords[0::2], coords[1::2]
     own = np.repeat(np.array([isol.id for isol in isols], dtype=np.int64), counts)
     flat = raster.labels.ravel()
@@ -384,8 +395,9 @@ def cast_rays(
     placed &= np.append(labelled, 0)[at] == own
     if not placed.all():
         i = int(np.argmin(placed))
+        x, y = next(islice(chain.from_iterable(edges), i, None))
         raise ValueError(
-            f"isol {own[i]} edge pixel ({ox[i]}, {oy[i]}) is not a pixel "
+            f"isol {own[i]} edge pixel ({x}, {y}) is not a pixel "
             f"labelled {own[i]} in the {width}x{height} raster"
         )
 

@@ -46,6 +46,10 @@ class LabeledRaster:
     """Immutable 2-D grid of integer labels, row-major, origin top-left.
 
     ``labels`` has shape (height, width); pixel (x, y) is ``labels[y, x]``.
+    It is a read-only int64 array that no caller can write: the array given
+    to ``LabeledRaster(...)`` or ``from_array`` is copied, while the grids
+    this module builds itself (parsed rasters, cluster canvases) are frozen
+    in place, so a run holds one full-size label array, not two.
     """
 
     width: int
@@ -76,7 +80,10 @@ class LabeledRaster:
         # would overflow it, and a float one would warn.
         if raw.size and raw.min() < 0:
             raise ValueError("labels must be non-negative")
-        arr = np.array(raw, dtype=np.int64, copy=True)
+        self._freeze(np.array(raw, dtype=np.int64, copy=True))
+
+    def _freeze(self, arr: np.ndarray) -> None:
+        """Check ``arr``'s shape, make it read-only and hold it as ``labels``."""
         if arr.ndim != 2:
             raise ValueError("labels must be a 2-D array")
         if arr.shape != (self.height, self.width):
@@ -88,6 +95,23 @@ class LabeledRaster:
             raise ValueError("raster must be at least 1x1")
         arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
+
+    @classmethod
+    def _adopt(cls, labels: np.ndarray) -> "LabeledRaster":
+        """A raster over ``labels`` itself, frozen in place, not copied.
+
+        Only for a non-negative int64 grid this module has just built and
+        hands to no one else, so no caller holds a writable view of it.
+        """
+        if labels.dtype != np.int64:
+            raise ValueError(f"labels of dtype {labels.dtype} are not int64")
+        if labels.ndim != 2:
+            raise ValueError("labels must be a 2-D array")
+        raster = object.__new__(cls)
+        object.__setattr__(raster, "height", labels.shape[0])
+        object.__setattr__(raster, "width", labels.shape[1])
+        raster._freeze(labels)
+        return raster
 
     @classmethod
     def from_array(cls, labels: np.ndarray | Sequence[Sequence[int]]) -> "LabeledRaster":
@@ -217,7 +241,7 @@ def _parse_text_grid(data: bytes) -> LabeledRaster:
             f"header declares {declared[0]}x{declared[1]} "
             f"but grid is {width}x{height}"
         )
-    return LabeledRaster(width=width, height=height, labels=grid)
+    return LabeledRaster._adopt(grid)
 
 
 def _parse_cells(lines: list[str], start: int) -> np.ndarray:
@@ -392,7 +416,7 @@ def _parse_pgm(data: bytes) -> LabeledRaster:
                 row=flat // width + 1,
                 col=flat % width + 1,
             )
-    return LabeledRaster(width=width, height=height, labels=arr)
+    return LabeledRaster._adopt(arr)
 
 
 def _pgm_int(tok: bytes, row: int | None = None, col: int | None = None) -> int:
@@ -467,7 +491,8 @@ def write_cluster_raster(
     """Paint each group's member segments with the group id.
 
     Args:
-        raster: the input raster the segments came from.
+        raster: a raster of the scene's shape; only its width and height
+            are read.
         groups: (group_id, member isol ids) pairs; group ids must be
             positive and member sets pairwise disjoint.
         isols: segment lookup by id.
@@ -490,7 +515,14 @@ def write_cluster_raster(
                 raise ValueError(f"unknown isol id {isol_id}")
             for x, y in isol.pixels:
                 out[y, x] = group_id
-    return LabeledRaster(width=raster.width, height=raster.height, labels=out)
+    return LabeledRaster._adopt(out)
+
+
+def _ground(width: int, height: int) -> LabeledRaster:
+    """An all-ground raster of the given shape over one broadcast zero, which
+    takes 8 bytes whatever the shape: enough for ``write_cluster_raster``,
+    which reads only the shape of the raster it is given."""
+    return LabeledRaster._adopt(np.broadcast_to(np.int64(0), (height, width)))
 
 
 def dump_text_grid(raster: LabeledRaster, header: bool = True) -> str:

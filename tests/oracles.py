@@ -5,8 +5,8 @@ Python ``int()`` or ``str()`` per cell, segments from one full-raster mask
 per label, links by walking every ray pixel by pixel into plain lists
 (each link's derived pixels are checked against the walk), group
 distances from the raw per-link pixel tuples, break points by literal
-max-over-prefix, and cumulative link areas by walking the whole merge
-subtree.  Nothing is shared with the optimized code paths beyond the
+max-over-prefix, cumulative link areas by walking the whole merge
+subtree, and cluster rasters painted one pixel tuple at a time.  Nothing is shared with the optimized code paths beyond the
 public types and, where an oracle takes a store, the link store accessors.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from crownmerge import DIRECTIONS, ConnectiveLink, Hierarchy, Isol, LinkStore
+from crownmerge import DIRECTIONS, ConnectiveLink, Hierarchy, Isol, LabeledRaster, LinkStore
 
 
 def parse_text_rows(text: str) -> list[list[int]]:
@@ -54,6 +54,31 @@ def brute_force_isols(raster) -> list[Isol]:
         edges = frozenset(zip(exs.tolist(), eys.tolist()))
         out.append(Isol(id=isol_id, pixels=pixels, edge_pixels=edges))
     return out
+
+
+def paint_clusters(raster, groups, isols) -> LabeledRaster:
+    """Each group's member segments painted with the group id on ground of
+    ``raster``'s shape, one ``isol.pixels`` tuple at a time.
+
+    ``groups`` are (group_id, member ids) pairs and ``isols`` maps id to
+    segment; a group id below 1, a segment in two groups or an unknown one
+    raises ``ValueError``.
+    """
+    out = np.zeros((raster.height, raster.width), dtype=np.int64)
+    seen: set[int] = set()
+    for group_id, member_ids in groups:
+        if group_id < 1:
+            raise ValueError(f"group id must be positive, got {group_id}")
+        for isol_id in member_ids:
+            if isol_id in seen:
+                raise ValueError(f"isol {isol_id} assigned to more than one group")
+            seen.add(isol_id)
+            isol = isols.get(isol_id)
+            if isol is None:
+                raise ValueError(f"unknown isol id {isol_id}")
+            for x, y in isol.pixels:
+                out[y, x] = group_id
+    return LabeledRaster(width=raster.width, height=raster.height, labels=out)
 
 
 def walk_links(

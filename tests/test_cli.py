@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crownmerge import (
     LabeledRaster,
+    dump_pgm,
     dump_text_grid,
     generate_random,
     generate_ring,
@@ -21,7 +27,8 @@ from crownmerge import (
 )
 from crownmerge.cli import PipelineConfig, REPORT_SCHEMA, main, run_pipeline
 
-from conftest import QUAD_GRID, mosaic
+from conftest import QUAD_GRID, label_rasters, mosaic, mosaic_rasters, synth_rasters
+from oracles import brute_force_isols, paint_clusters
 
 
 def write_quad(tmp_path: Path) -> Path:
@@ -155,6 +162,53 @@ def test_run_pipeline_canopy_artifacts_are_pinned(tmp_path, args, digest):
     out = tmp_path / "out"
     run_pipeline(PipelineConfig(input_path=path, out_dir=out, dump_links=True))
     assert _artifact_digest(out) == digest
+
+
+@settings(max_examples=100, deadline=None)
+@given(label_rasters() | synth_rasters | mosaic_rasters, st.integers(1, 3))
+@example(LabeledRaster.from_array(QUAD_GRID), 2)
+def test_clusters_pgm_matches_painting_oracle(raster, min_group_size):
+    # Small floors leave candidates to paint, some of them single segments.
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scene.txt", Path(tmp) / "out"
+        path.write_text(dump_text_grid(raster))
+        result = run_pipeline(
+            PipelineConfig(input_path=path, out_dir=out, min_group_size=min_group_size)
+        )
+        got = (out / "clusters.pgm").read_bytes()
+    groups = [
+        (rank, sorted(result.hierarchy.node(c.node_id).members))
+        for rank, c in enumerate(result.candidates, start=1)
+    ]
+    isols = {isol.id: isol for isol in brute_force_isols(raster)}
+    assert got == dump_pgm(paint_clusters(raster, groups, isols))
+
+
+def test_run_pipeline_releases_the_input_raster_before_painting(tmp_path, monkeypatch):
+    # Painting clusters.pgm needs a full canvas; the input labels (and any
+    # array they view) must be gone by then, so the run holds one at a time.
+    path = tmp_path / "scene.txt"
+    path.write_text(dump_text_grid(generate_random(3, n_isols=40, size=64).raster))
+    refs = []
+    load, paint = raster_io.load_raster, raster_io.write_cluster_raster
+
+    def load_and_watch(*args):
+        raster = load(*args)
+        array = raster.labels
+        while isinstance(array, np.ndarray):
+            refs.append(weakref.ref(array))
+            array = array.base
+        return raster
+
+    def paint_once_released(*args):
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        return paint(*args)
+
+    monkeypatch.setattr(raster_io, "load_raster", load_and_watch)
+    monkeypatch.setattr(raster_io, "write_cluster_raster", paint_once_released)
+    run_pipeline(PipelineConfig(input_path=path, out_dir=tmp_path / "out", min_group_size=2))
+    assert (tmp_path / "out" / "clusters.pgm").exists()
 
 
 def test_run_pipeline_lw_stream(tmp_path):

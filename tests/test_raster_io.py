@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -459,6 +460,77 @@ def test_raster_labels_are_frozen():
     raster = LabeledRaster.from_array([[0, 1]])
     with pytest.raises(ValueError):
         raster.labels[0, 0] = 5
+
+
+@pytest.mark.parametrize("build", ["init", "from_array"])
+def test_raster_copies_the_callers_array(build):
+    # A raster never aliases memory that its caller can still write.
+    grid = np.array([[0, 1], [2, 3]], dtype=np.int64)
+    if build == "init":
+        raster = LabeledRaster(width=2, height=2, labels=grid)
+    else:
+        raster = LabeledRaster.from_array(grid)
+    grid[:] = 9
+    assert raster.labels.tolist() == [[0, 1], [2, 3]]
+
+
+#: One input per ``load_raster`` path; every grid's second row is [7, 1].
+_LOAD_PATHS = {
+    "text fast path": (b"0 300\n7 1\n", FORMAT_TEXT_GRID),
+    "text cell loop": (b"0 +300\n7 1\n", FORMAT_TEXT_GRID),
+    "P2": (b"P2\n2 2\n300\n0 300\n7 1\n", FORMAT_PGM),
+    "P5 u1": (b"P5\n2 2\n255\n" + bytes([0, 255, 7, 1]), FORMAT_PGM),
+    "P5 >u2": (b"P5\n2 2\n300\n" + np.array([0, 300, 7, 1], ">u2").tobytes(), FORMAT_PGM),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_LOAD_PATHS))
+def test_loaded_labels_are_read_only(path):
+    data, fmt = _LOAD_PATHS[path]
+    raster = load_raster(io.BytesIO(data), fmt)
+    assert raster.labels.dtype == np.int64
+    assert raster.labels.tolist()[1] == [7, 1]
+    assert not raster.labels.flags.writeable
+    with pytest.raises(ValueError):
+        raster.labels[0, 0] = 5
+
+
+def test_cluster_raster_labels_are_read_only():
+    raster = LabeledRaster.from_array(QUAD_GRID)
+    painted = write_cluster_raster(raster, [(1, [1, 4])], by_id(extract_isols(raster)))
+    assert painted.labels.dtype == np.int64
+    assert not painted.labels.flags.writeable
+    with pytest.raises(ValueError):
+        painted.labels[1, 1] = 5
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocated and had not yet freed."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cluster_raster_allocates_one_canvas():
+    # The canvas it paints becomes the result's labels; no second copy.
+    grid = np.zeros((512, 512), dtype=np.int64)
+    grid[100:140, 200:260] = 3
+    grid[300:310, 10:500] = 8
+    raster = LabeledRaster.from_array(grid)
+    isols = by_id(extract_isols(raster))
+    peak = _traced_peak(write_cluster_raster, raster, [(1, [3]), (2, [8])], isols)
+    assert peak <= 1.1 * grid.nbytes
+
+
+def test_p5_load_allocates_one_grid():
+    # The int64 grid parsed from the samples becomes the raster's labels.
+    data = b"P5\n512 512\n255\n" + bytes(range(256)) * 1024
+    peak = _traced_peak(load_raster, io.BytesIO(data), FORMAT_PGM)
+    # One int64 grid plus the one-byte samples cut from the file.
+    assert peak <= 1.2 * 512 * 512 * 8
 
 
 def test_label_at_bounds_checked():
