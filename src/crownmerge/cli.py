@@ -211,31 +211,19 @@ def _fail(message: str) -> None:
 @click.option("--input", "input_path", required=True, type=click.Path(path_type=Path))
 @click.option("--format", "fmt", default="auto", show_default=True,
               type=click.Choice(["auto", *raster_io.FORMATS]))
-@click.option("--param", default="a_merge", show_default=True,
+@click.option("--param", "parameter", default="a_merge", show_default=True,
               help="Merge-parameter stream; a named stream or ratio:<numer>/<denom>.")
 @click.option("--significance-p", default=0.25, show_default=True, type=float)
-@click.option("--min-size", default=7, show_default=True, type=int)
+@click.option("--min-size", "min_group_size", default=7, show_default=True, type=int)
 @click.option("--max-ray", default=None, type=int)
 @click.option("--score", "score_key", default="mean", show_default=True,
               type=click.Choice(list(ranking.SCORE_KEYS)))
 @click.option("--dump-links", is_flag=True, default=False)
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
-def run(input_path, fmt, param, significance_p, min_size, max_ray, score_key,
-        dump_links, out_dir) -> None:
+def run(**options) -> None:
     """Run the full pipeline and write artifacts to --out."""
-    config = PipelineConfig(
-        input_path=input_path,
-        out_dir=out_dir,
-        fmt=fmt,
-        parameter=param,
-        significance_p=significance_p,
-        min_group_size=min_size,
-        max_ray=max_ray,
-        score_key=score_key,
-        dump_links=dump_links,
-    )
     try:
-        result = run_pipeline(config)
+        result = run_pipeline(PipelineConfig(**options))
     except (OSError, ValueError) as exc:
         _fail(str(exc))
     click.echo(
@@ -248,16 +236,14 @@ def run(input_path, fmt, param, significance_p, min_size, max_ray, score_key,
 @click.option("--input", "input_path", required=True, type=click.Path(path_type=Path))
 @click.option("--format", "fmt", default="auto", show_default=True,
               type=click.Choice(["auto", *raster_io.FORMATS]))
-@click.option("--param", default="a_merge", show_default=True)
+@click.option("--param", "parameter", default="a_merge", show_default=True)
 @click.option("--max-ray", default=None, type=int)
 @click.option("--isol", "isol_id", required=True, type=int,
               help="Id of the region whose merge path to trace.")
-def trace(input_path, fmt, param, max_ray, isol_id) -> None:
+def trace(isol_id, **options) -> None:
     """Print one region's merge-path trace as CSV on stdout."""
     # trace writes no files, so the output directory is never used.
-    config = PipelineConfig(
-        input_path=input_path, out_dir=Path(), fmt=fmt, parameter=param, max_ray=max_ray
-    )
+    config = PipelineConfig(out_dir=Path(), **options)
     try:
         raster, isols = _load(config)
         if isol_id not in {isol.id for isol in isols}:

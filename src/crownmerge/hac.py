@@ -4,22 +4,21 @@ Groups start as singletons and the closest two active groups merge until
 nothing connective is left, producing a binary merge forest.  Group-to-group
 distance is the size of the union of all link-pixel sets between their
 members, so it is not additive.  Each group keeps a map from every linked
-neighbour to their pair's pixel union; a merge folds the smaller map into
-the larger one and, for a neighbour both sides share, unites its two
-pixel unions.  Each union is a bit mask over the scene's footprint pixels
-ranked in row-major order, held as ``(bits, low, count)``: a Python int
-whose bit ``i`` stands for rank ``low + i``, its lowest rank and its
-popcount.  Each pair's mask is read from the store's one mask table,
-which ``pair_union`` and the distances read too; the mask format and its
-union (one shift, one OR and one popcount) belong to ``links``, and only
-the popcounts leave ``agglomerate``.  A min-heap of pairs, keyed by
-distance and then by the two groups' minimum segment ids, picks each
-merge; items of retired groups are skipped when popped (lazy
-invalidation).  No two active groups share a minimum segment id, so that
-key totally orders the live pairs and the heap merges in the same order
-as scanning every pair for the smallest key.  The linkage is reducible, because
-U(A+B, C) = U(A, C) | U(B, C) is at least as large as either part, so
-the merge heights never decrease along the merge order.
+neighbour to their pair's ``(pixel union, link count, length sum)``; a
+merge folds the smaller map into the larger one, uniting the two entries
+of a neighbour both sides share.  Each union is a bit mask over the
+scene's footprint pixels ranked in row-major order, held as ``(bits, low,
+count)``: a Python int whose bit ``i`` stands for rank ``low + i``, its
+lowest rank and its popcount.  The mask format and its union (one shift,
+one OR and one popcount) belong to ``links``, and only the popcounts
+leave ``agglomerate``.  A min-heap of pairs, keyed by distance and then
+by the two groups' minimum segment ids, picks each merge; items of
+retired groups are skipped when popped (lazy invalidation).  No two
+active groups share a minimum segment id, so that key totally orders the
+live pairs and the heap merges in the same order as scanning every pair
+for the smallest key.  The linkage is reducible, because U(A+B, C) =
+U(A, C) | U(B, C) is at least as large as either part, so the merge
+heights never decrease along the merge order.
 
 Each merge node also records the link quantities its parameters are read
 from: the link count and summed link length across the merged pair, and
@@ -160,21 +159,21 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     are lexicographically smallest, which makes the run deterministic.
     Scenes whose link graph is disconnected end as a forest.
 
-    Every linked pair of active groups has one entry, ``[link pixel mask,
-    link count, length sum]``, shared by both groups' neighbour maps, and
-    one heap item ``(distance, lo min member, hi min member, left id,
-    right id)``.  An item is live while both its groups are active: a
-    pair's entry only changes when one side merges, a merge retires both
-    ids, and ids are never reused, so stale items are simply skipped when
-    popped.  Two active groups never share a minimum member, so the heap
-    orders live pairs exactly as a full scan for the smallest
+    Every linked pair of active groups has an immutable entry ``(link
+    pixel mask, link count, length sum)`` in both groups' neighbour maps,
+    and one heap item ``(distance, lo min member, hi min member, left id,
+    right id)``.  The singletons' entries are the store's own
+    (``LinkStore._masks``); a merge builds a new one for a neighbour both
+    sides share.  An item is live while both its groups are active:
+    a pair's entry only changes when one side merges, a merge retires
+    both ids, and ids are never reused, so stale items are simply skipped
+    when popped.  Two active groups never share a minimum member, so the
+    heap orders live pairs exactly as a full scan for the smallest
     ``(distance, tie key)`` would.  Every pixel union (an entry's, or a
-    group's cumulative one) is an immutable mask ``(bits, low, count)``
-    over the ranked footprint pixels: the entries are fresh lists around
-    the store's cached masks (``LinkStore._masks``), which they share,
-    ``links._unite`` makes a new mask, and each cached ``count`` is read as
-    a heap key, a merge distance or an ``a_cumulative``; only the counts
-    leave this function.
+    group's cumulative one) is a mask ``(bits, low, count)`` over the
+    ranked footprint pixels; ``links._unite`` makes a new one, and each
+    cached ``count`` is read as a heap key, a merge distance or an
+    ``a_cumulative``; only the counts leave this function.
 
     Raises ``ValueError`` if two isols share an id or the store links a
     segment that is not among ``isols``.
@@ -197,12 +196,12 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     min_member: dict[int, int] = {idx: isol.id for idx, isol in enumerate(ordered)}
     # An entry existing means "linked", so a touching pair keeps its
     # (empty) mask and distance 0.
-    neighbours: dict[int, dict[int, list]] = {n.id: {} for n in nodes}
+    neighbours: dict[int, dict[int, tuple[Mask, int, int]]] = {n.id: {} for n in nodes}
     heap: list[tuple[int, int, int, int, int]] = []
-    for (a, b), (mask, link_count, length_sum) in store._masks[2].items():
+    for (a, b), entry in store._masks[2].items():
         lo, hi = singleton_ids[a], singleton_ids[b]
-        neighbours[lo][hi] = neighbours[hi][lo] = [mask, link_count, length_sum]
-        heap.append((mask[2], a, b, lo, hi))
+        neighbours[lo][hi] = neighbours[hi][lo] = entry
+        heap.append((entry[0][2], a, b, lo, hi))
     heapq.heapify(heap)
     # Link pixel mask of every merge below each active group.
     cumulative: dict[int, Mask] = {n.id: _EMPTY for n in nodes}
@@ -231,16 +230,15 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
         nodes.append(merged)
 
         # Fold the smaller neighbour map into the larger one; a neighbour
-        # of both sides gets the union of its two masks.
+        # of both sides gets a new entry uniting its two.
         folded, small = neighbours.pop(left), neighbours.pop(right)
         if len(folded) < len(small):
             folded, small = small, folded
         for other, entry in small.items():
-            kept = folded.setdefault(other, entry)
-            if kept is not entry:
-                kept[0] = _unite(kept[0], entry[0])
-                kept[1] += entry[1]
-                kept[2] += entry[2]
+            kept = folded.get(other)
+            if kept is not None:
+                entry = (_unite(kept[0], entry[0]), kept[1] + entry[1], kept[2] + entry[2])
+            folded[other] = entry
         new_min = min(min_member.pop(left), min_member.pop(right))
         for other, entry in folded.items():
             theirs = neighbours[other]

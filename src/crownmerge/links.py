@@ -367,13 +367,13 @@ def cast_rays(
     if not sum(counts):
         return LinkStore({})
 
+    top = np.iinfo(np.int64).max
     pixels = chain.from_iterable(chain.from_iterable(edges))
     try:
         coords = np.fromiter(pixels, dtype=np.int64, count=2 * sum(counts))
     except OverflowError:
         # A coordinate past int64 is off the raster, as -1 is: the check
         # below then reports the first stray origin, whatever its kind.
-        top = np.iinfo(np.int64).max
         pixels = chain.from_iterable(chain.from_iterable(edges))
         coords = np.fromiter(
             (v if -1 <= v <= top else -1 for v in pixels),
@@ -381,7 +381,10 @@ def cast_rays(
             count=2 * sum(counts),
         )
     ox, oy = coords[0::2], coords[1::2]
-    own = np.repeat(np.array([isol.id for isol in isols], dtype=np.int64), counts)
+    # An id past int64 is no pixel's label, as 0 is: the check below then
+    # reports that isol's first edge pixel, under the isol's own id.
+    ids = [isol.id if -top - 1 <= isol.id <= top else 0 for isol in isols]
+    own = np.repeat(np.array(ids, dtype=np.int64), counts)
     flat = raster.labels.ravel()
     nonzero = np.flatnonzero(flat)
     labelled = flat[nonzero]
@@ -395,10 +398,11 @@ def cast_rays(
     placed &= np.append(labelled, 0)[at] == own
     if not placed.all():
         i = int(np.argmin(placed))
-        x, y = next(islice(chain.from_iterable(edges), i, None))
+        origins = ((isol.id, pixel) for isol, edge in zip(isols, edges) for pixel in edge)
+        isol_id, (x, y) = next(islice(origins, i, None))
         raise ValueError(
-            f"isol {own[i]} edge pixel ({x}, {y}) is not a pixel "
-            f"labelled {own[i]} in the {width}x{height} raster"
+            f"isol {isol_id} edge pixel ({x}, {y}) is not a pixel "
+            f"labelled {isol_id} in the {width}x{height} raster"
         )
 
     target = np.zeros((len(own), len(DIRECTIONS)), dtype=np.int64)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import IO, Mapping, Sequence
 
 from .hac import Hierarchy
@@ -123,34 +124,13 @@ def _stream_extractor(choice: str):
 def dump_params_csv(
     hierarchy: Hierarchy, params: Mapping[int, NodeParams], stream: IO[str]
 ) -> None:
-    """CSV of all nodes; merge-only fields stay blank on singleton rows."""
+    """CSV of all nodes: id, merge iteration, then ``RATIO_FIELDS``.
+
+    A blank field is a ``None`` field, so singleton rows leave the merge
+    iteration and the merge-only fields blank.
+    """
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        [
-            "node_id",
-            "merge_iteration",
-            "a_merge",
-            "l_hat",
-            "lw_ratio",
-            "n_pix",
-            "n_edge",
-            "a_cumulative",
-        ]
-    )
+    writer.writerow(["node_id", "merge_iteration", *RATIO_FIELDS])
+    fields = attrgetter(*RATIO_FIELDS)
     for node in hierarchy.nodes():
-        p = params[node.id]
-        if node.is_singleton:
-            writer.writerow([node.id, "", "", "", "", p.n_pix, p.n_edge, ""])
-        else:
-            writer.writerow(
-                [
-                    node.id,
-                    node.merge_iteration,
-                    p.a_merge,
-                    p.l_hat,
-                    p.lw_ratio,
-                    p.n_pix,
-                    p.n_edge,
-                    p.a_cumulative,
-                ]
-            )
+        writer.writerow([node.id, node.merge_iteration, *fields(params[node.id])])

@@ -154,6 +154,12 @@ def by_id(isols: Iterable[Isol]) -> dict[int, Isol]:
 
 _HEADER_RE = re.compile(rb"^#\s*(\d+)\s+(\d+)\s*$")
 
+#: One PGM header token after any whitespace and ``#`` comments (a ``#``
+#: opens a comment only where a token could start).  In a bytes pattern
+#: ``\s`` is exactly the six bytes ``bytes.isspace`` accepts.  The token is
+#: empty only at the end of the data.
+_PGM_TOKEN_RE = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
 #: Labels are held as int64.
 _MAX_LABEL = int(np.iinfo(np.int64).max)
 
@@ -350,26 +356,16 @@ def _parse_pgm(data: bytes) -> LabeledRaster:
     if magic not in (b"P2", b"P5"):
         raise RasterFormatError(f"not a PGM file (magic {magic!r})")
 
-    # Header tokens may be separated by whitespace and '#' comments.
     pos = 2
     tokens: list[int] = []
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        end = pos
-        while end < len(data) and not data[end : end + 1].isspace():
-            end += 1
-        if end == pos:
+    for _ in range(3):
+        match = _PGM_TOKEN_RE.match(data, pos)
+        tok, pos = match[1], match.end()
+        if not tok:
             raise RasterFormatError("truncated PGM header")
-        tok = data[pos:end]
         if not tok.isdigit():
             raise RasterFormatError(f"bad PGM header token {tok!r}")
         tokens.append(_pgm_int(tok))
-        pos = end
 
     width, height, maxval = tokens
     if width < 1 or height < 1:

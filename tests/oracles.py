@@ -6,15 +6,26 @@ per label, links by walking every ray pixel by pixel into plain lists
 (each link's derived pixels are checked against the walk), group
 distances from the raw per-link pixel tuples, break points by literal
 max-over-prefix, cumulative link areas by walking the whole merge
-subtree, and cluster rasters painted one pixel tuple at a time.  Nothing is shared with the optimized code paths beyond the
-public types and, where an oracle takes a store, the link store accessors.
+subtree, cluster rasters painted one pixel tuple at a time, and ranked
+groups scored from their members' pixel tuples.  Nothing is shared with
+the optimized code paths beyond the public types and, where an oracle
+takes a store, the link store accessors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from crownmerge import DIRECTIONS, ConnectiveLink, Hierarchy, Isol, LabeledRaster, LinkStore
+from crownmerge import (
+    DIRECTIONS,
+    ConnectiveLink,
+    DispersionStats,
+    Hierarchy,
+    Isol,
+    LabeledRaster,
+    LinkStore,
+    RankedCandidate,
+)
 
 
 def parse_text_rows(text: str) -> list[list[int]]:
@@ -30,29 +41,26 @@ def format_rows(rows) -> str:
 def brute_force_isols(raster) -> list[Isol]:
     """Segments by one full-raster mask per positive label, ascending.
 
-    Pixels are inserted in row-major order, as the package does.
+    A pixel is an edge pixel if one of its four neighbours is off the
+    raster or carries another label, checked one pixel at a time.  Pixels
+    are inserted in row-major order, as the package does.
     """
-    labels = raster.labels
-    # A pixel is an edge pixel if any 4-neighbour has a different label;
-    # the raster border counts as outside.
-    differs = np.zeros(labels.shape, dtype=bool)
-    differs[0, :] = True
-    differs[-1, :] = True
-    differs[:, 0] = True
-    differs[:, -1] = True
-    differs[1:, :] |= labels[1:, :] != labels[:-1, :]
-    differs[:-1, :] |= labels[:-1, :] != labels[1:, :]
-    differs[:, 1:] |= labels[:, 1:] != labels[:, :-1]
-    differs[:, :-1] |= labels[:, :-1] != labels[:, 1:]
+    rows = raster.labels.tolist()
+
+    def on_edge(x: int, y: int) -> bool:
+        for nx, ny in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
+            if not (0 <= nx < raster.width and 0 <= ny < raster.height):
+                return True
+            if rows[ny][nx] != rows[y][x]:
+                return True
+        return False
 
     out: list[Isol] = []
     for isol_id in raster.positive_ids():
-        mask = labels == isol_id
-        ys, xs = np.nonzero(mask)
-        pixels = frozenset(zip(xs.tolist(), ys.tolist()))
-        eys, exs = np.nonzero(mask & differs)
-        edges = frozenset(zip(exs.tolist(), eys.tolist()))
-        out.append(Isol(id=isol_id, pixels=pixels, edge_pixels=edges))
+        ys, xs = np.nonzero(raster.labels == isol_id)
+        points = list(zip(xs.tolist(), ys.tolist()))
+        edges = frozenset(p for p in points if on_edge(*p))
+        out.append(Isol(id=isol_id, pixels=frozenset(points), edge_pixels=edges))
     return out
 
 
@@ -79,6 +87,38 @@ def paint_clusters(raster, groups, isols) -> LabeledRaster:
             for x, y in isol.pixels:
                 out[y, x] = group_id
     return LabeledRaster(width=raster.width, height=raster.height, labels=out)
+
+
+def rank_groups(hierarchy: Hierarchy, isols, terminals, key: str) -> list[RankedCandidate]:
+    """Each terminal node scored from its members' pixel tuples and sorted
+    by ``(score or sum/max, node id)``; ``key`` is ``mean`` or ``sum``.
+
+    The points are scored in sorted ``(x, y)`` order with numpy's sums,
+    which fixes the low bits of every float.
+    """
+    scored = []
+    for node_id in sorted(terminals):
+        pixels: set = set()
+        for isol_id in hierarchy.node(node_id).members:
+            pixels |= isols[isol_id].pixels
+        pts = np.asarray(sorted(pixels), dtype=float)
+        centroid = pts.mean(axis=0)
+        devs = np.hypot(pts[:, 0] - centroid[0], pts[:, 1] - centroid[1])
+        sum_dev = float(devs.sum())
+        max_dev = float(devs.max())
+        mean_dev = sum_dev / len(pts)
+        stats = DispersionStats(
+            centroid=(float(centroid[0]), float(centroid[1])),
+            sum_abs_dev=sum_dev,
+            mean_abs_dev=mean_dev,
+            max_abs_dev=max_dev,
+            score=mean_dev / max_dev if max_dev > 0 else 0.0,
+            pixel_count=len(pts),
+        )
+        value = stats.score if key == "mean" else stats.sum_over_max
+        scored.append((value, node_id, RankedCandidate(node_id, stats)))
+    scored.sort(key=lambda item: item[:2])
+    return [candidate for _, _, candidate in scored]
 
 
 def walk_links(

@@ -204,6 +204,8 @@ def _isol(id_, *edge):
         ([[1, 0, 2]], _isol(1, (2**63, 0)), (2**63, 0)),  # past int64
         ([[1, 0, 2]], _isol(2, (2, 0), (0, -(2**63) - 1)), (0, -(2**63) - 1)),
         ([[1, 0, 2]], _isol(2, (5, 0), (2**64, 0)), (5, 0)),  # first stray
+        ([[1, 0, 2]], _isol(2**63, (0, 0)), (0, 0)),  # id past int64
+        ([[1, 0, 2]], _isol(-(2**63) - 1, (2, 0)), (2, 0)),
     ],
 )
 def test_cast_rays_rejects_stray_origins(rows, isol, stray):
@@ -216,6 +218,17 @@ def test_cast_rays_rejects_stray_origins(rows, isol, stray):
     )
     with pytest.raises(ValueError, match=message):
         cast_rays(raster, [isol])
+
+
+@pytest.mark.parametrize("isol_id", [2**63, -(2**63) - 1])
+def test_cast_rays_casts_nothing_from_isols_without_edge_pixels(isol_id):
+    # With no edge pixel there is no origin to check, whatever the id;
+    # the other segments' rays are cast as usual.
+    raster = LabeledRaster.from_array([[1, 0, 2]])
+    isol = Isol(isol_id, frozenset({(0, 0)}), frozenset())
+    assert cast_rays(raster, [isol]).pairs() == ()
+    store = cast_rays(raster, [isol, _isol(2, (2, 0))])
+    assert store.link_stats(1, 2) == (1, 1)
 
 
 @settings(max_examples=200, deadline=None)

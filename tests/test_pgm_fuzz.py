@@ -40,8 +40,10 @@ def pgm_files(draw) -> tuple[bytes, int, list[list[int]]]:
     """``(encoding, header length, rows)`` of a grid of up to 4x4 samples.
 
     Header tokens are separated by a space, tab or line end, each with an
-    optional comment line after it; P2 rows end in that line end, and a P5
-    header ends in exactly one whitespace byte.
+    optional comment line after it; P2 lines end in that line end and hold
+    either one raster row or a drawn number of samples (as plain PGM may
+    wrap anywhere), up to all of them on one line, and a P5 header ends in
+    exactly one whitespace byte.
     """
     magic = draw(st.sampled_from((b"P2", b"P5")))
     maxval = draw(st.sampled_from(MAXVALS))
@@ -66,7 +68,11 @@ def pgm_files(draw) -> tuple[bytes, int, list[list[int]]]:
     samples = [v for row in rows for v in row]
     if magic == b"P2":
         header += end
-        body = b"".join(b" ".join(str(v).encode() for v in row) + end for row in rows)
+        per_line = draw(st.none() | st.integers(1, len(samples)))
+        lines = rows if per_line is None else [
+            samples[i : i + per_line] for i in range(0, len(samples), per_line)
+        ]
+        body = b"".join(b" ".join(str(v).encode() for v in line) + end for line in lines)
     else:
         header += draw(st.sampled_from((b" ", b"\t", b"\n", b"\r")))
         size = 1 if maxval < 256 else 2

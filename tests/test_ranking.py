@@ -5,8 +5,28 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from crownmerge import by_id, rank_candidates, score_cluster
+from crownmerge import (
+    SCORE_KEYS,
+    LabeledRaster,
+    agglomerate,
+    by_id,
+    cast_rays,
+    compute_params,
+    count_breaks,
+    extract_isols,
+    filter_terminals,
+    parameter_stream,
+    rank_candidates,
+    score_cluster,
+    trace_all,
+    trim,
+)
+
+from conftest import QUAD_GRID, label_rasters, mosaic_rasters, synth_rasters
+from oracles import brute_force_isols, rank_groups
 
 
 def test_single_pixel_scores_zero():
@@ -110,3 +130,23 @@ def test_rank_ties_fall_back_to_node_id(quad):
 def test_rank_rejects_unknown_key(quad):
     with pytest.raises(ValueError, match="score key"):
         rank_candidates(quad.hierarchy, by_id(quad.isols), [4], key="median")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    label_rasters() | synth_rasters | mosaic_rasters,
+    st.integers(1, 3),
+    st.sampled_from(SCORE_KEYS),
+)
+@example(LabeledRaster.from_array(QUAD_GRID), 2, "mean")
+@example(LabeledRaster.from_array([[1, 0], [0, 0], [0, 2]]), 1, "sum")  # unlinked, tied
+def test_rank_candidates_matches_scoring_oracle(raster, min_group_size, key):
+    # The terminals a run would rank; small floors leave some to rank.
+    isols = extract_isols(raster)
+    hierarchy = agglomerate(isols, cast_rays(raster, isols))
+    stream = parameter_stream(hierarchy, compute_params(hierarchy, isols), "a_merge")
+    breaks = count_breaks(hierarchy, trace_all(hierarchy, stream))
+    terminals = filter_terminals(trim(hierarchy, breaks), hierarchy, min_group_size)
+    got = rank_candidates(hierarchy, by_id(isols), terminals, key=key)
+    # Exact: every float, down to its last bit, and the order.
+    assert got == rank_groups(hierarchy, by_id(brute_force_isols(raster)), terminals, key)
