@@ -60,46 +60,66 @@ class PipelineResult:
 class _Analysis:
     """What the stages shared by ``run`` and ``trace`` produce."""
 
-    store: links.LinkStore
     hierarchy: hac.Hierarchy
     by_id: dict[int, raster_io.Isol]
     node_params: dict[int, params.NodeParams]
     traces: list[termination.PathTrace]
 
 
-def _load(config: PipelineConfig) -> tuple[raster_io.LabeledRaster, list[raster_io.Isol]]:
-    """Validate the config, then read the raster and extract its regions."""
+def _load(
+    config: PipelineConfig,
+) -> tuple[tuple[int, int], list[raster_io.Isol], links.LinkStore]:
+    """Validate the config, read the raster, extract its regions and cast
+    their rays.
+
+    Returns the raster's (width, height), the regions and the link store.
+    The file's bytes are freed once parsed, and the raster on return:
+    nothing after ``cast_rays`` reads the labels, so neither is alive
+    during agglomeration or when ``clusters.pgm`` is painted on a canvas
+    of the raster's size.
+    """
     config.validate()
     data = config.input_path.read_bytes()
     fmt = config.fmt
     if fmt == "auto":
         fmt = raster_io.sniff_format(data[:64])
     raster = raster_io.load_raster(io.BytesIO(data), fmt)
-    return raster, raster_io.extract_isols(raster)
+    del data
+    isols = raster_io.extract_isols(raster)
+    store = links.cast_rays(raster, isols, max_ray=config.max_ray)
+    return (raster.width, raster.height), isols, store
 
 
 def _analyse(
-    config: PipelineConfig, raster: raster_io.LabeledRaster, isols: list[raster_io.Isol]
+    config: PipelineConfig, isols: list[raster_io.Isol], hierarchy: hac.Hierarchy
 ) -> _Analysis:
-    """Link and agglomerate the regions, then trace every region's path."""
-    store = links.cast_rays(raster, isols, max_ray=config.max_ray)
-    hierarchy = hac.agglomerate(isols, store)
+    """Derive every merge's parameters, then trace every region's path."""
     by_id = raster_io.by_id(isols)
     node_params = params.compute_params(hierarchy, by_id)
     stream = params.parameter_stream(hierarchy, node_params, config.parameter)
     traces = termination.trace_all(hierarchy, stream)
-    return _Analysis(store, hierarchy, by_id, node_params, traces)
+    return _Analysis(hierarchy, by_id, node_params, traces)
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    raster, isols = _load(config)
-    analysis = _analyse(config, raster, isols)
-    # Only the input's shape is read after the rays are cast.  Dropping the
-    # raster here frees its labels before clusters.pgm is painted on a full
-    # canvas of the same size, so the run never holds both.
-    shape = raster.width, raster.height
-    del raster
-    hierarchy, by_id = analysis.hierarchy, analysis.by_id
+    """Run every stage on ``config.input_path`` and write the artifacts to
+    ``config.out_dir``.
+
+    Each large structure is freed after its last reader: the input raster
+    once the rays are cast (in ``_load``), and the link store, with its
+    mask table, once ``agglomerate`` returns.  So ``links.csv`` is
+    formatted in memory before agglomeration and written last, like every
+    other artifact only after ``clusters.pgm`` has been rendered.
+    """
+    shape, isols, store = _load(config)
+    links_csv = None
+    if config.dump_links:
+        links_csv = io.StringIO()
+        links.dump_links_csv(store, links_csv)
+    hierarchy = hac.agglomerate(isols, store)
+    del store
+    analysis = _analyse(config, isols, hierarchy)
+    by_id = analysis.by_id
     breaks = termination.count_breaks(hierarchy, analysis.traces, p=config.significance_p)
     trimmed = termination.trim(hierarchy, breaks)
     terminals = termination.filter_terminals(trimmed, hierarchy, config.min_group_size)
@@ -122,9 +142,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     with open(config.out_dir / "histogram.csv", "w", newline="") as fh:
         termination.dump_histogram_csv(hierarchy, breaks, fh)
     (config.out_dir / "clusters.pgm").write_bytes(clusters)
-    if config.dump_links:
+    if links_csv is not None:
         with open(config.out_dir / "links.csv", "w", newline="") as fh:
-            links.dump_links_csv(analysis.store, fh)
+            fh.write(links_csv.getvalue())
 
     return PipelineResult(
         hierarchy=hierarchy,
@@ -245,10 +265,10 @@ def trace(isol_id, **options) -> None:
     # trace writes no files, so the output directory is never used.
     config = PipelineConfig(out_dir=Path(), **options)
     try:
-        raster, isols = _load(config)
+        _, isols, store = _load(config)
         if isol_id not in {isol.id for isol in isols}:
             raise ValueError(f"no region with id {isol_id}")
-        analysis = _analyse(config, raster, isols)
+        analysis = _analyse(config, isols, hac.agglomerate(isols, store))
         start = analysis.hierarchy.singleton_node_id(isol_id)
         termination.dump_trace_csv(analysis.traces[start], sys.stdout)
     except (OSError, ValueError) as exc:

@@ -172,12 +172,33 @@ _BLOCK = 1 << 16
 #: for ``str.splitlines``, as two with no cell between for the reader).
 _PLAIN = b"0123456789 \t\r\n"
 
+#: Where blocks of a plain body may end: after a line break, or after
+#: any separator where lines do not matter.
+_LINE_BREAKS = (b"\n", b"\r")
+_SEPARATORS = (b" ", b"\t", *_LINE_BREAKS)
+
 #: Longest plain token: every 18-digit number is below 2**63.
 _PLAIN_DIGITS = 18
 
-#: 10, 100, ..., 10**18: a label has one digit more than the number of
-#: these it reaches.
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+#: The byte the grid writer pads with and then erases.
+_PAD = b"\xff"
+
+
+def _word_table() -> np.ndarray:
+    """Little-endian 4-byte words of ASCII digits: entry ``i`` is ``i`` in
+    four digits, zero-padded, and entry ``10000 + i`` is ``str(i)`` led by
+    ``_PAD`` bytes instead of zeros."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    padded = (digits + ord("0")).astype(np.uint8)
+    bare = padded.copy()
+    bare[np.arange(10000)[:, None] < np.array([1000, 100, 10, 0])] = _PAD[0]
+    return np.concatenate([padded, bare]).view("<u4").ravel()
+
+
+_WORDS = _word_table()
+_SPACE_WORD, _NEWLINE_WORD, _PAD_WORD = np.frombuffer(
+    b" " + _PAD * 3 + b"\n" + _PAD * 3 + _PAD * 4, dtype="<u4"
+)
 
 
 def sniff_format(head: bytes) -> str:
@@ -208,39 +229,42 @@ def load_raster(stream: BinaryIO, fmt: str) -> LabeledRaster:
 def _parse_text_grid(data: bytes) -> LabeledRaster:
     """Parse a text grid: an optional ``# W H`` header line, then one row per line.
 
-    The body after the header goes to ``_read_plain_grid`` when it is plain:
-    only ASCII digits, spaces, tabs, CRs and LFs, no token over 18 digits,
-    and the same number of tokens on every non-blank line.  Anything else
-    (a sign, ``_``, non-ASCII digits or whitespace, 19-digit labels, ``\\v``
-    or ``\\f`` breaks, a bad token, ragged rows) takes the per-cell loop,
-    which accepts every cell Python ``int()`` accepts in 0..2**63-1 and
-    raises each located ``RasterFormatError``.  Both paths give the same
-    grid wherever both accept the input.
+    Only the first line is decoded to look for the header.  The body after
+    it goes to ``_read_plain_grid`` when it is plain: only ASCII digits,
+    spaces, tabs, CRs and LFs, no token over 18 digits, and the same number
+    of tokens on every non-blank line.  A plain body is ASCII, so the file
+    is then valid UTF-8 and is never decoded whole.  Anything else (a sign,
+    ``_``, non-ASCII digits or whitespace, 19-digit labels, ``\\v`` or
+    ``\\f`` breaks, a bad token, ragged rows) decodes the file and takes
+    the per-cell loop, which accepts every cell Python ``int()`` accepts in
+    0..2**63-1 and raises each located ``RasterFormatError``.  Both paths
+    give the same grid wherever both accept the input.
     """
+    # The first line ends at or before the first CR or LF (the end of the
+    # shortest block), bytes that no multi-byte character contains, so
+    # splitting the text up to there gives the line ``str.splitlines`` would.
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise RasterFormatError(f"text grid is not valid UTF-8: {exc}") from None
-
-    # Only the first line can be a header.  It ends at or before the first
-    # LF, so splitting that much gives the line ``str.splitlines`` would.
-    first = text.partition("\n")[0].splitlines()
+        head = data[: _block_end(data, 0, 0, _LINE_BREAKS)].decode("utf-8")
+    except UnicodeDecodeError:
+        head = _decode(data)
+    first = head.splitlines()[:1]
     declared: tuple[int, int] | None = None
     start = 0
     offset = 0
     if first and first[0].lstrip().startswith("#"):
         m = _HEADER_RE.match(first[0].strip().encode())
         if not m:
+            _decode(data)  # a UTF-8 error anywhere is reported first
             raise RasterFormatError(f"malformed header line {first[0]!r}", row=1)
         declared = (int(m.group(1)), int(m.group(2)))
         start = 1
         # The body starts after the header line and its line break (after
         # the CR of a CRLF, which leaves the body a blank first line).
-        offset = len(text[: len(first[0]) + 1].encode())
+        offset = len(head[: len(first[0]) + 1].encode())
 
     grid = _read_plain_grid(data, offset)
     if grid is None:
-        grid = _parse_cells(text.splitlines(), start)
+        grid = _parse_cells(_decode(data).splitlines(), start)
     height, width = grid.shape
     if declared is not None and (width, height) != declared:
         raise RasterFormatError(
@@ -248,6 +272,14 @@ def _parse_text_grid(data: bytes) -> LabeledRaster:
             f"but grid is {width}x{height}"
         )
     return LabeledRaster._adopt(grid)
+
+
+def _decode(data: bytes) -> str:
+    """``data`` as UTF-8 text, or the ``RasterFormatError`` that says where not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RasterFormatError(f"text grid is not valid UTF-8: {exc}") from None
 
 
 def _parse_cells(lines: list[str], start: int) -> np.ndarray:
@@ -290,25 +322,56 @@ def _parse_cells(lines: list[str], start: int) -> np.ndarray:
 
 
 def _read_plain_grid(data: bytes, offset: int) -> np.ndarray | None:
-    """The int64 grid in ``data[offset:]``, or None unless that body is plain.
+    """The int64 grid in the text-grid body ``data[offset:]``, or None
+    unless that body is plain.
 
-    Plain means: every byte is an ASCII digit, space, tab, CR or LF; every
-    token has at most 18 digits, so its value fits in int64; and every
-    non-blank line has the same number of tokens, at least one.  The body is
-    read in blocks of whole lines of about ``_BLOCK`` bytes (one line, if it
-    is longer), so the temporaries stay a few times that size whatever the
-    raster.
+    Plain means what ``_read_plain_tokens`` requires, and also that every
+    non-blank line has the same number of tokens, at least one.  The
+    tokens go straight into the one array that becomes the grid.
     """
-    blocks: list[np.ndarray] = []
-    width = 0
+    read = _read_plain_tokens(data, offset, by_line=True)
+    if read is None or not read[0].size:
+        return None
+    return read[0].reshape(-1, read[1])
+
+
+def _read_plain_tokens(data: bytes, offset: int, by_line: bool) -> tuple[np.ndarray, int] | None:
+    """The decimal tokens of ``data[offset:]`` as one int64 array of exactly
+    their count, or None unless that body is plain.
+
+    Plain means: every byte is an ASCII digit, space, tab, CR or LF, and
+    every token has at most 18 digits, so its value fits in int64.  The
+    body is read in blocks of about ``_BLOCK`` bytes that end after a
+    separator (a line break if ``by_line``), so no token spans two blocks
+    and the temporaries stay a few times ``_BLOCK`` whatever the raster.  A
+    first pass checks the bytes and counts the tokens, so the array is
+    allocated once; a second pass fills it.
+
+    If ``by_line``, the second element is the number of tokens on every
+    non-blank line, and a body whose lines differ in that number is not
+    plain.  Otherwise it is 0, and the tokens may wrap anywhere.
+    """
+    cuts = _LINE_BREAKS if by_line else _SEPARATORS
+    stops: list[int] = []
+    count = 0
     start = offset
     while start < len(data):
-        stop = _lines_end(data, start, start + _BLOCK)
+        stop = _block_end(data, start, start + _BLOCK, cuts)
         if data[start:stop].translate(None, _PLAIN):
             return None
-        buf = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
-        start = stop
         # Among plain bytes, exactly the digits are >= b"0".
+        digit = np.frombuffer(data, np.uint8, stop - start, start) >= ord("0")
+        count += int(digit[0]) + np.count_nonzero(digit[1:] > digit[:-1])
+        stops.append(stop)
+        start = stop
+
+    values = np.empty(count, dtype=np.int64)
+    width = 0
+    filled = 0
+    start = offset
+    for stop in stops:
+        buf = np.frombuffer(data, np.uint8, stop - start, start)
+        start = stop
         digit = buf >= ord("0")
         edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
         starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
@@ -316,42 +379,50 @@ def _read_plain_grid(data: bytes, offset: int) -> np.ndarray | None:
             continue
         if lengths.max() > _PLAIN_DIGITS:
             return None
-        # Tokens per line: the tokens before each line break, differenced.
-        breaks = np.flatnonzero((buf == ord("\n")) | (buf == ord("\r")))
-        per_line = np.diff(np.searchsorted(starts, breaks), prepend=0, append=starts.size)
-        per_line = per_line[per_line > 0]
-        width = width or int(per_line[0])
-        if (per_line != width).any():
-            return None
+        if by_line:
+            # Tokens per line: the tokens before each line break, differenced.
+            breaks = np.flatnonzero((buf == ord("\n")) | (buf == ord("\r")))
+            per_line = np.diff(np.searchsorted(starts, breaks), prepend=0, append=starts.size)
+            per_line = per_line[per_line > 0]
+            width = width or int(per_line[0])
+            if (per_line != width).any():
+                return None
         # Read the tokens digit by digit from the left, dropping each one
         # once its last digit is in.
-        values = (buf[starts] - ord("0")).astype(np.int64)
+        block = values[filled : filled + starts.size]
+        filled += starts.size
+        block[:] = buf[starts] - ord("0")
         more = np.flatnonzero(lengths > 1)
         k = 1
         while more.size:
-            values[more] = values[more] * 10 + (buf[starts[more] + k] - ord("0"))
+            block[more] = block[more] * 10 + (buf[starts[more] + k] - ord("0"))
             k += 1
             more = more[lengths[more] > k]
-        blocks.append(values)
-    if not blocks:
-        return None
-    return np.concatenate(blocks).reshape(-1, width)
+    return values, width
 
 
-def _lines_end(data: bytes, start: int, stop: int) -> int:
-    """End of the block of whole lines that begins at ``start``: just past
-    the last line break before ``stop``, or past the next one when a line
-    runs beyond ``stop``, or the end of ``data``."""
+def _block_end(data: bytes, start: int, stop: int, cuts: tuple[bytes, ...]) -> int:
+    """End of the block that begins at ``start``: just past the last of the
+    ``cuts`` bytes before ``stop``, else just past the first one after it,
+    else the end of ``data``."""
     if stop >= len(data):
         return len(data)
-    last = max(data.rfind(b"\n", start, stop), data.rfind(b"\r", start, stop))
+    last = max(data.rfind(cut, start, stop) for cut in cuts)
     if last < 0:
-        after = [i for i in (data.find(b"\n", stop), data.find(b"\r", stop)) if i >= 0]
+        after = [i for i in (data.find(cut, stop) for cut in cuts) if i >= 0]
         last = min(after, default=len(data) - 1)
     return last + 1
 
 
 def _parse_pgm(data: bytes) -> LabeledRaster:
+    """Parse a PGM file, plain (P2) or binary (P5), holding one image.
+
+    A P2 body goes to ``_read_plain_pgm`` first.  Anything it refuses (a
+    ``#``, ``\\v``, ``\\f``, a 19-digit token, a wrong count, a sample
+    over maxval) takes the per-token loop, which raises each located
+    ``RasterFormatError``.  Both give the same grid wherever both accept
+    the input.
+    """
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise RasterFormatError(f"not a PGM file (magic {magic!r})")
@@ -374,24 +445,9 @@ def _parse_pgm(data: bytes) -> LabeledRaster:
         raise RasterFormatError(f"PGM maxval {maxval} out of range 1..65535")
 
     if magic == b"P2":
-        body = data[pos:].split()
-        if len(body) != width * height:
-            raise RasterFormatError(
-                f"PGM data has {len(body)} values, expected {width * height}"
-            )
-        values = []
-        for i, tok in enumerate(body):
-            row, col = i // width + 1, i % width + 1
-            if not tok.isdigit():
-                raise RasterFormatError(f"non-integer PGM value {tok!r}", row=row, col=col)
-            value = _pgm_int(tok, row, col)
-            # Checked before the int64 cast, which a huge value would overflow.
-            if value > maxval:
-                raise RasterFormatError(
-                    f"PGM value {value} exceeds maxval {maxval}", row=row, col=col
-                )
-            values.append(value)
-        arr = np.array(values, dtype=np.int64).reshape(height, width)
+        arr = _read_plain_pgm(data, pos, width, height, maxval)
+        if arr is None:
+            arr = _read_pgm_samples(data[pos:], width, height, maxval)
     else:
         # P5: exactly one whitespace byte after maxval, then raw samples
         # to the end of the file, which holds one image.
@@ -413,6 +469,42 @@ def _parse_pgm(data: bytes) -> LabeledRaster:
                 col=flat % width + 1,
             )
     return LabeledRaster._adopt(arr)
+
+
+def _read_plain_pgm(
+    data: bytes, offset: int, width: int, height: int, maxval: int
+) -> np.ndarray | None:
+    """The grid of samples in the P2 body ``data[offset:]``, or None unless
+    that body is plain (see ``_read_plain_tokens``), holds exactly
+    ``width * height`` samples and none exceeds ``maxval``.  Its lines may
+    wrap anywhere."""
+    read = _read_plain_tokens(data, offset, by_line=False)
+    if read is None or read[0].size != width * height or read[0].max() > maxval:
+        return None
+    return read[0].reshape(height, width)
+
+
+def _read_pgm_samples(body: bytes, width: int, height: int, maxval: int) -> np.ndarray:
+    """The P2 samples of ``body`` read one token at a time, which raises
+    the located ``RasterFormatError`` of the first bad one."""
+    tokens = body.split()
+    if len(tokens) != width * height:
+        raise RasterFormatError(
+            f"PGM data has {len(tokens)} values, expected {width * height}"
+        )
+    values = []
+    for i, tok in enumerate(tokens):
+        row, col = i // width + 1, i % width + 1
+        if not tok.isdigit():
+            raise RasterFormatError(f"non-integer PGM value {tok!r}", row=row, col=col)
+        value = _pgm_int(tok, row, col)
+        # Checked before the int64 cast, which a huge value would overflow.
+        if value > maxval:
+            raise RasterFormatError(
+                f"PGM value {value} exceeds maxval {maxval}", row=row, col=col
+            )
+        values.append(value)
+    return np.array(values, dtype=np.int64).reshape(height, width)
 
 
 def _pgm_int(tok: bytes, row: int | None = None, col: int | None = None) -> int:
@@ -539,24 +631,38 @@ def _format_grid(head: bytes, labels: np.ndarray) -> bytes:
     """``head``, then each row of non-negative ``labels`` as decimal cells
     one space apart and ending in LF: the bytes of ``" ".join(map(str, row))``.
 
-    Works in blocks of whole rows of about ``_BLOCK`` bytes of labels.
+    Works in blocks of whole rows of about ``_BLOCK`` bytes of labels.  A
+    block of one-digit cells is written as digit and separator bytes.
+    Otherwise each cell takes as many four-digit words from ``_WORDS`` as
+    the block's largest label needs, and its separator a fifth; the pad
+    bytes are then erased in one ``bytes.translate``.
     """
     height, width = labels.shape
     rows = max(1, _BLOCK // (8 * width))
     parts = [head]
     for top in range(0, height, rows):
         cells = labels[top : top + rows].ravel()
-        ndigits = np.searchsorted(_POW10, cells, side="right") + 1
-        # Each cell's digits are followed by one separator byte.
-        ends = np.cumsum(ndigits + 1)
-        out = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
-        out[ends[width - 1 :: width] - 1] = ord("\n")
-        # Fill the digits from the units up, dropping each cell once its
-        # leading digit is written.
-        at, rest = ends - 2, cells
-        while at.size:
-            out[at] = rest % 10 + ord("0")
-            more = ndigits > 1
-            at, rest, ndigits = at[more] - 1, rest[more] // 10, ndigits[more] - 1
-        parts.append(out.tobytes())
+        ndigits = len(str(cells.max()))
+        if ndigits == 1:
+            out = np.empty((cells.size, 2), dtype=np.uint8)
+            out[:, 0] = cells + ord("0")
+            out[:, 1] = ord(" ")
+            out[width - 1 :: width, 1] = ord("\n")
+            parts.append(out.tobytes())
+            continue
+        words = -(-ndigits // 4)
+        out = np.empty((cells.size, words + 1), dtype="<u4")
+        out[:, -1] = _SPACE_WORD
+        out[width - 1 :: width, -1] = _NEWLINE_WORD
+        # From the units word up; a word with no digits above it drops
+        # its leading zeros.
+        rest = cells
+        for w in range(words - 1, 0, -1):
+            rest, low = np.divmod(rest, 10000)
+            out[:, w] = _WORDS[low + 10000 * (rest == 0)]
+        out[:, 0] = _WORDS[10000 + rest]
+        # A word wholly above a cell's leading digit is all pad, not "0".
+        for w in range(words - 1):
+            out[cells < 10 ** (4 * (words - 1 - w)), w] = _PAD_WORD
+        parts.append(out.tobytes().translate(None, _PAD))
     return b"".join(parts)

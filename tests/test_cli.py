@@ -21,6 +21,7 @@ from crownmerge import (
     dump_text_grid,
     generate_random,
     generate_ring,
+    hac,
     links,
     load_raster,
     raster_io,
@@ -184,13 +185,19 @@ def test_clusters_pgm_matches_painting_oracle(raster, min_group_size):
     assert got == dump_pgm(paint_clusters(raster, groups, isols))
 
 
-def test_run_pipeline_releases_the_input_raster_before_painting(tmp_path, monkeypatch):
-    # Painting clusters.pgm needs a full canvas; the input labels (and any
-    # array they view) must be gone by then, so the run holds one at a time.
+def _write_random_scene(tmp_path: Path) -> Path:
     path = tmp_path / "scene.txt"
     path.write_text(dump_text_grid(generate_random(3, n_isols=40, size=64).raster))
+    return path
+
+
+def _check_input_released_at_agglomerate(monkeypatch) -> list:
+    """Watch the labels of every raster ``load_raster`` returns (and any
+    array they view), and assert at each ``agglomerate`` call that all of
+    them are gone.  Returns the weakrefs, so a test can check that the
+    watch ran."""
     refs = []
-    load, paint = raster_io.load_raster, raster_io.write_cluster_raster
+    load, agglomerate = raster_io.load_raster, hac.agglomerate
 
     def load_and_watch(*args):
         raster = load(*args)
@@ -200,15 +207,61 @@ def test_run_pipeline_releases_the_input_raster_before_painting(tmp_path, monkey
             array = array.base
         return raster
 
+    def agglomerate_once_released(*args):
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        return agglomerate(*args)
+
+    monkeypatch.setattr(raster_io, "load_raster", load_and_watch)
+    monkeypatch.setattr(hac, "agglomerate", agglomerate_once_released)
+    return refs
+
+
+def test_run_pipeline_releases_the_input_raster_before_painting(tmp_path, monkeypatch):
+    # Nothing after cast_rays reads the labels, so they are gone before
+    # agglomerate, and so before clusters.pgm is painted on a full canvas:
+    # the run holds one full-size label array at a time.
+    path = _write_random_scene(tmp_path)
+    refs = _check_input_released_at_agglomerate(monkeypatch)
+    run_pipeline(PipelineConfig(input_path=path, out_dir=tmp_path / "out", min_group_size=2))
+    assert refs and (tmp_path / "out" / "clusters.pgm").exists()
+
+
+def test_trace_releases_the_input_raster_before_agglomerating(tmp_path, monkeypatch):
+    path = _write_random_scene(tmp_path)
+    refs = _check_input_released_at_agglomerate(monkeypatch)
+    result = CliRunner().invoke(main, ["trace", "--input", str(path), "--isol", "1"])
+    assert result.exit_code == 0, result.output
+    assert refs
+
+
+@pytest.mark.parametrize("dump_links", [False, True])
+def test_link_store_is_released_before_painting(tmp_path, monkeypatch, dump_links):
+    # The ray table and its mask table have no reader after agglomerate
+    # (links.csv is formatted before it), so no store is alive by the time
+    # clusters.pgm is painted.
+    path = _write_random_scene(tmp_path)
+    refs = []
+    cast_rays, paint = links.cast_rays, raster_io.write_cluster_raster
+
+    def cast_and_watch(*args, **kwargs):
+        store = cast_rays(*args, **kwargs)
+        refs.append(weakref.ref(store))
+        return store
+
     def paint_once_released(*args):
         gc.collect()
         assert refs and all(ref() is None for ref in refs)
         return paint(*args)
 
-    monkeypatch.setattr(raster_io, "load_raster", load_and_watch)
+    monkeypatch.setattr(links, "cast_rays", cast_and_watch)
     monkeypatch.setattr(raster_io, "write_cluster_raster", paint_once_released)
-    run_pipeline(PipelineConfig(input_path=path, out_dir=tmp_path / "out", min_group_size=2))
-    assert (tmp_path / "out" / "clusters.pgm").exists()
+    out = tmp_path / "out"
+    run_pipeline(
+        PipelineConfig(input_path=path, out_dir=out, min_group_size=2, dump_links=dump_links)
+    )
+    assert (out / "clusters.pgm").exists()
+    assert (out / "links.csv").exists() == dump_links
 
 
 def test_run_pipeline_lw_stream(tmp_path):

@@ -12,13 +12,16 @@ import codecs
 import io
 import tempfile
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crownmerge import raster_io
 from crownmerge import (
     FORMAT_PGM,
     FORMAT_TEXT_GRID,
@@ -111,6 +114,21 @@ def mutated_pgm_files(draw) -> tuple[bytes, bool]:
 
 
 @st.composite
+def p2_files_near_maxval(draw) -> bytes:
+    """A P2 file whose samples are drawn around its maxval, so that some
+    exceed it, wrapped at a drawn number of samples per line."""
+    maxval = draw(st.integers(1, 65535))
+    samples = draw(
+        st.lists(st.integers(max(0, maxval - 2), maxval + 2), min_size=1, max_size=16)
+    )
+    width = draw(st.sampled_from([w for w in range(1, 5) if len(samples) % w == 0]))
+    per_line = draw(st.integers(1, len(samples)))
+    lines = [samples[i : i + per_line] for i in range(0, len(samples), per_line)]
+    body = b"".join(b" ".join(b"%d" % v for v in line) + b"\n" for line in lines)
+    return b"P2\n%d %d\n%d\n" % (width, len(samples) // width, maxval) + body
+
+
+@st.composite
 def bom_files(draw) -> tuple[bytes, str]:
     """``(encoding, --format)``: a well-formed P2/P5 file or text grid (with
     or without its ``# W H`` header) behind a UTF-8 byte-order mark, read
@@ -128,6 +146,14 @@ def _load(data: bytes, fmt: str = FORMAT_PGM):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return load_raster(io.BytesIO(data), fmt)
+
+
+def _outcome(data: bytes) -> tuple:
+    """What ``_load`` makes of ``data``: its grid, or its error and where."""
+    try:
+        return ("grid", _load(data).labels.tolist())
+    except RasterFormatError as exc:
+        return ("error", str(exc), exc.row, exc.col)
 
 
 def _assert_run_exits_2(data: bytes, fmt: str) -> None:
@@ -181,3 +207,31 @@ def test_byte_order_mark_is_rejected_with_exit_2_and_no_output(case):
     with pytest.raises(RasterFormatError, match="byte-order mark"):
         _load(data, sniff_format(data[:64]) if fmt == "auto" else fmt)
     _assert_run_exits_2(data, fmt)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pgm_files().map(lambda case: (case[0], True))
+    | mutated_pgm_files().map(lambda case: (case[0], False))
+    | p2_files_near_maxval().map(lambda data: (data, False)),
+    st.integers(1, 64),
+)
+def test_p2_fast_path_matches_per_token_loop(case, block):
+    # Any layout, any mutation: the block reader gives the grid the
+    # per-token loop gives, or hands the input to it for the same error.
+    # A well-formed file never reaches the loop.  Small blocks make most
+    # bodies span several.
+    data, well_formed = case
+    loop = (
+        mock.patch.object(
+            raster_io, "_read_pgm_samples", side_effect=AssertionError("per-token loop")
+        )
+        if well_formed
+        else nullcontext()
+    )
+    with mock.patch.object(raster_io, "_BLOCK", block):
+        with loop:
+            got = _outcome(data)
+        with mock.patch.object(raster_io, "_read_plain_pgm", return_value=None):
+            want = _outcome(data)
+    assert got == want

@@ -533,6 +533,37 @@ def test_p5_load_allocates_one_grid():
     assert peak <= 1.2 * 512 * 512 * 8
 
 
+def _wide_grid() -> LabeledRaster:
+    """A 1024x1024 raster of labels 0-1500, so most cells have 3-4 digits."""
+    return LabeledRaster.from_array(np.random.default_rng(0).integers(0, 1501, (1024, 1024)))
+
+
+@pytest.mark.parametrize("layout", ["header", "no header", "crlf"])
+def test_text_grid_load_allocates_one_grid(layout):
+    # The tokens are counted first and parsed into the one int64 grid that
+    # becomes the raster's labels; the file is never decoded whole.
+    raster = _wide_grid()
+    data = dump_text_grid(raster, header=layout != "no header").encode()
+    if layout == "crlf":
+        data = data.replace(b"\n", b"\r\n")
+    peak = _traced_peak(load_raster, io.BytesIO(data), FORMAT_TEXT_GRID)
+    assert peak <= 1.3 * raster.labels.nbytes
+    assert np.array_equal(load_raster(io.BytesIO(data), FORMAT_TEXT_GRID).labels, raster.labels)
+
+
+def test_p2_load_allocates_one_grid():
+    # Plain PGM wraps its lines at 70 characters, across raster rows.
+    raster = _wide_grid()
+    head, body = dump_pgm(raster).split(b"1500\n", 1)
+    tokens = body.split()
+    lines = [b" ".join(tokens[i : i + 14]) for i in range(0, len(tokens), 14)]
+    assert max(map(len, lines)) <= 70
+    data = head + b"1500\n" + b"\n".join(lines) + b"\n"
+    peak = _traced_peak(load_raster, io.BytesIO(data), FORMAT_PGM)
+    assert peak <= 1.3 * raster.labels.nbytes
+    assert np.array_equal(load_raster(io.BytesIO(data), FORMAT_PGM).labels, raster.labels)
+
+
 def test_label_at_bounds_checked():
     raster = LabeledRaster.from_array([[0, 1]])
     with pytest.raises(IndexError):
