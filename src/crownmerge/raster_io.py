@@ -642,27 +642,40 @@ def _format_grid(head: bytes, labels: np.ndarray) -> bytes:
     parts = [head]
     for top in range(0, height, rows):
         cells = labels[top : top + rows].ravel()
-        ndigits = len(str(cells.max()))
-        if ndigits == 1:
+        if cells.max() < 10:
             out = np.empty((cells.size, 2), dtype=np.uint8)
             out[:, 0] = cells + ord("0")
             out[:, 1] = ord(" ")
             out[width - 1 :: width, 1] = ord("\n")
             parts.append(out.tobytes())
             continue
-        words = -(-ndigits // 4)
-        out = np.empty((cells.size, words + 1), dtype="<u4")
+        out = np.empty((cells.size, _word_count(cells) + 1), dtype="<u4")
+        _fill_digits(out[:, :-1], cells)
         out[:, -1] = _SPACE_WORD
         out[width - 1 :: width, -1] = _NEWLINE_WORD
-        # From the units word up; a word with no digits above it drops
-        # its leading zeros.
-        rest = cells
-        for w in range(words - 1, 0, -1):
-            rest, low = np.divmod(rest, 10000)
-            out[:, w] = _WORDS[low + 10000 * (rest == 0)]
-        out[:, 0] = _WORDS[10000 + rest]
-        # A word wholly above a cell's leading digit is all pad, not "0".
-        for w in range(words - 1):
-            out[cells < 10 ** (4 * (words - 1 - w)), w] = _PAD_WORD
         parts.append(out.tobytes().translate(None, _PAD))
     return b"".join(parts)
+
+
+def _word_count(cells: np.ndarray) -> int:
+    """Four-digit words that the largest of the non-negative ``cells`` needs."""
+    return -(-len(str(cells.max())) // 4)
+
+
+def _fill_digits(out: np.ndarray, cells: np.ndarray) -> None:
+    """Write each non-negative int in ``cells`` (int64 or uint64) as its
+    ``str`` into a row of ``out``, a ``(len(cells), words)`` array of
+    ``_WORDS`` words, most significant first; the words hold ``_PAD``
+    bytes where ``str`` has none, for the caller to erase."""
+    words = out.shape[1]
+    # From the units word up; a word with no digits above it drops its
+    # leading zeros.
+    rest = cells
+    for w in range(words - 1, 0, -1):
+        rest, low = np.divmod(rest, 10000)
+        np.add(low, 10000, out=low, where=rest == 0)
+        out[:, w] = _WORDS[low]
+    out[:, 0] = _WORDS[10000 + rest]
+    # A word wholly above a cell's leading digit is all pad, not "0".
+    for w in range(words - 1):
+        out[cells < 10 ** (4 * (words - 1 - w)), w] = _PAD_WORD

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -20,9 +21,11 @@ from crownmerge import (
     LinkStore,
     cast_rays,
     extract_isols,
+    generate_random,
     group_distance,
     pair_distance,
 )
+from crownmerge import links as links_module
 from crownmerge.links import dump_links_csv
 
 from conftest import (
@@ -590,3 +593,102 @@ def test_dump_links_csv(quad):
         for link in walked[pair]
     ]
     assert list(csv.reader(lines[1:])) == want
+
+
+def _csv_writer_bytes(table: np.ndarray) -> bytes:
+    """What ``csv.writer`` writes for the header and the ray-table rows."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["origin_isol", "target_isol", "direction", "origin_x", "origin_y", "length"])
+    writer.writerows(
+        (origin, target, DIRECTIONS[d][0], x, y, n) for origin, target, d, x, y, n in table.tolist()
+    )
+    return out.getvalue().encode("ascii")
+
+
+def _dumped(store: LinkStore) -> bytes:
+    """``dump_links_csv`` into a binary stream, checked against a text one."""
+    binary, text = io.BytesIO(), io.StringIO()
+    dump_links_csv(store, binary)
+    dump_links_csv(store, text)
+    assert text.getvalue().encode("ascii") == binary.getvalue()
+    return binary.getvalue()
+
+
+#: Around the four-digit word edges, the int64 ends and their neighbours.
+word_edges = st.sampled_from(
+    [0, 1, 9, 10, 999, 1000, 9999, 10000, 10001, 99999999, 10**8, 10**12 + 39, 10**16,
+     10**18, 2**63 - 1, -1, -9, -9999, -10000, -(10**16), -(2**63) + 1, -(2**63)]
+)
+csv_values = int64s | word_edges | st.integers(-(10**5), 10**5)
+
+
+@st.composite
+def ray_tables(draw) -> np.ndarray:
+    """Ray tables of any int64 values the store accepts: distinct ends,
+    every direction index, non-negative lengths."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                csv_values,
+                csv_values,
+                st.integers(0, len(DIRECTIONS) - 1),
+                csv_values,
+                csv_values,
+                csv_values.map(lambda n: n if n >= 0 else -(n + 1)),
+            ).filter(lambda row: row[0] != row[1]),
+            max_size=40,
+        )
+    )
+    return np.array(rows, dtype=np.int64).reshape(-1, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ray_tables(), st.sampled_from([48, 96, 65536]))
+@example(np.array([(1, 2, d, 0, 0, 0) for d in range(8)]), 65536)
+@example(np.array([(-(2**63), 2**63 - 1, 7, -(2**63), 2**63 - 1, 2**63 - 1)]), 48)
+def test_dump_links_csv_matches_csv_writer(table, block):
+    # Blocks of one and two rows make neighbouring rows differ in digit
+    # words and signs.
+    store = LinkStore._from_table(table)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(links_module, "_BLOCK", block)
+        assert _dumped(store) == _csv_writer_bytes(store._table)
+
+
+def test_dump_links_csv_of_empty_store_is_its_header():
+    assert _dumped(LinkStore({})) == b"origin_isol,target_isol,direction,origin_x,origin_y,length\n"
+
+
+def test_dump_links_csv_writes_negative_fields():
+    store = LinkStore({
+        (-10000, -5): [
+            ConnectiveLink(-5, -10000, "SW", (-3, -10001), 2),
+            ConnectiveLink(-10000, -5, "N", (7, 0), 0),
+        ],
+        (-5, 3): [ConnectiveLink(3, -5, "NE", (-(2**63), 2**63 - 1), 12)],
+    })
+    assert _dumped(store) == (
+        b"origin_isol,target_isol,direction,origin_x,origin_y,length\n"
+        b"-5,-10000,SW,-3,-10001,2\n"
+        b"-10000,-5,N,7,0,0\n"
+        b"3,-5,NE,-9223372036854775808,9223372036854775807,12\n"
+    )
+    assert _dumped(store) == _csv_writer_bytes(store._table)
+
+
+@pytest.mark.parametrize("stream", [io.BytesIO, io.StringIO])
+def test_dump_links_csv_allocates_little_beside_its_output(stream):
+    # The rows are formatted a block at a time, so the dump peaks at a
+    # small multiple of the text it writes.
+    scene = generate_random(42, 1000, size=256)
+    store = cast_rays(scene.raster, extract_isols(scene.raster))
+    out = stream()
+    tracemalloc.start()
+    try:
+        dump_links_csv(store, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = len(out.getvalue())
+    assert size > 300_000 and peak <= 4 * size
