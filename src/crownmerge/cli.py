@@ -114,7 +114,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     shape, isols, store = _load(config)
     links_csv = None
     if config.dump_links:
-        links_csv = io.BytesIO()
+        links_csv = io.StringIO()
         links.dump_links_csv(store, links_csv)
     hierarchy = hac.agglomerate(isols, store)
     del store
@@ -143,7 +143,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         termination.dump_histogram_csv(hierarchy, breaks, fh)
     (config.out_dir / "clusters.pgm").write_bytes(clusters)
     if links_csv is not None:
-        (config.out_dir / "links.csv").write_bytes(links_csv.getvalue())
+        with open(config.out_dir / "links.csv", "w", newline="") as fh:
+            fh.write(links_csv.getvalue())
 
     return PipelineResult(
         hierarchy=hierarchy,

@@ -20,13 +20,11 @@ the ray table: its pixels are ranked by a sort and a binary search, and
 every mask is read from one packed byte buffer.  ``agglomerate`` and the
 distances read the masks' counts and unions; only ``pair_union`` decodes
 a mask into pixels.  ``dump_links_csv`` writes the ray table as links.csv
-from the four-digit words of ``raster_io``'s grid writer, a block of rows
-at a time.
+through ``raster_io._format_rows``, a block of rows at a time.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,17 +33,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .raster_io import (
-    _BLOCK,
-    _NEWLINE_WORD,
-    _PAD,
-    _PAD_WORD,
-    Isol,
-    LabeledRaster,
-    PixelCoord,
-    _fill_digits,
-    _word_count,
-)
+from .raster_io import Isol, LabeledRaster, PixelCoord, _format_rows
 
 #: Compass name -> unit step, clockwise from north; y grows downward.
 DIRECTIONS: tuple[tuple[str, int, int], ...] = (
@@ -63,13 +51,6 @@ _DIRECTION_INDEX = {name: d for d, (name, _, _) in enumerate(DIRECTIONS)}
 #: In ``ConnectiveLink`` field order, with a ``DIRECTIONS`` index; also the links.csv header.
 _COLUMNS = ("origin_isol", "target_isol", "direction", "origin_x", "origin_y", "length")
 _DIRECTION = _COLUMNS.index("direction")
-
-#: links.csv words in the ``raster_io._WORDS`` layout: each compass name
-#: by ``DIRECTIONS`` index, the minus sign and the comma, padded with ``_PAD``.
-_DIRECTION_WORDS = np.frombuffer(
-    b"".join(name.encode("ascii").ljust(4, _PAD) for name, _, _ in DIRECTIONS), dtype="<u4"
-)
-_MINUS_WORD, _COMMA_WORD = np.frombuffer(b"-" + _PAD * 3 + b"," + _PAD * 3, dtype="<u4")
 
 #: ``(bits, low, count)``: bit ``i`` of ``bits`` stands for ranked pixel
 #: ``low + i``, and ``count`` is the number of set bits.
@@ -380,11 +361,10 @@ def cast_rays(
     sorted once; the next pixel in that order is the hit of the axis's
     direction, the previous one the hit of its opposite.  A hit counts
     only if it lies on the same line, and its distance follows from the
-    positions.  Each direction keeps only its rays that reach another
-    segment within ``max_ray``.  One argsort of their keys ``origin * 8 +
-    direction`` orders them into ray-table rows: by the segments as given,
-    their sorted edge pixels, then ``DIRECTIONS``, so the link order is
-    that of a pixel-by-pixel walk.
+    positions.  Only rays that reach another segment within ``max_ray``
+    become ray-table rows, in the order of the segments as given, their
+    sorted edge pixels, then ``DIRECTIONS``, so the link order is that of
+    a pixel-by-pixel walk.
     """
     if max_ray is not None and max_ray < 0:
         raise ValueError(f"max_ray must be >= 0, got {max_ray}")
@@ -432,9 +412,9 @@ def cast_rays(
             f"labelled {isol_id} in the {width}x{height} raster"
         )
 
-    # Per direction, only the rays that hit: origin index * 8 + direction,
-    # the far end's label and the length.
-    keys, targets, lengths = [], [], []
+    target = np.zeros((len(own), len(DIRECTIONS)), dtype=np.int64)
+    length = np.zeros_like(target)
+    reached = np.zeros(target.shape, dtype=bool)
     ys, xs = np.divmod(nonzero, width)
     # Keys are line-major; |position| < width + height, so they are distinct.
     for d, (_, dx, dy) in enumerate(DIRECTIONS[:4]):
@@ -443,32 +423,21 @@ def cast_rays(
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         here = rank[at]
-        del rank
         for e, step in ((d, 1), (d + 4, -1)):
             neighbour = here + step
             found = (neighbour >= 0) & (neighbour < order.size)
-            hit = order[neighbour.clip(0, order.size - 1, out=neighbour)]
+            hit = order[neighbour.clip(0, order.size - 1)]
             found &= line[hit] == line[at]
-            target = labelled[hit]
-            found &= target != own
-            length = np.abs(position[hit] - position[at]) // (abs(dx) + abs(dy)) - 1
-            if max_ray is not None:
-                found &= length <= max_ray
-            reached = np.flatnonzero(found)
-            keys.append(reached * len(DIRECTIONS) + e)
-            targets.append(target[reached])
-            lengths.append(length[reached])
+            target[:, e] = labelled[hit]
+            length[:, e] = np.abs(position[hit] - position[at]) // (abs(dx) + abs(dy)) - 1
+            reached[:, e] = found & (target[:, e] != own)
+    if max_ray is not None:
+        reached &= length <= max_ray
 
-    rays = np.concatenate(keys)
-    order = np.argsort(rays)
-    origin, direction = np.divmod(rays[order], len(DIRECTIONS))
+    rays = np.flatnonzero(reached)
+    origin, direction = np.divmod(rays, len(DIRECTIONS))
     return LinkStore._from_table(np.column_stack((
-        own[origin],
-        np.concatenate(targets)[order],
-        direction,
-        ox[origin],
-        oy[origin],
-        np.concatenate(lengths)[order],
+        own[origin], target.ravel()[rays], direction, ox[origin], oy[origin], length.ravel()[rays]
     )))
 
 
@@ -512,47 +481,12 @@ def group_distance(
     return union[2]
 
 
-def dump_links_csv(store: LinkStore, stream: IO[str] | IO[bytes]) -> None:
+def dump_links_csv(store: LinkStore, stream: IO[str]) -> None:
     """Debug dump: the ``_COLUMNS`` header, then one row per link straight
-    from the ray table, with ``direction`` as its compass name: the bytes
-    that ``csv.writer(stream, lineterminator="\\n")`` writes for them.
-
-    A binary stream gets the bytes, any other stream their ASCII text.
-    Like ``raster_io._format_grid``, it works in blocks of rows of about
-    ``_BLOCK`` bytes of table.  In a block, each number takes a sign word
-    if its column holds a negative value, then as many four-digit words as
-    the column's largest magnitude needs; a direction takes its name's
-    word, and each comma and LF a word.  One ``bytes.translate`` per
-    block erases the pad bytes.
-    """
-    binary = isinstance(stream, (io.RawIOBase, io.BufferedIOBase))
-
-    def write(data: bytes) -> None:
-        stream.write(data if binary else data.decode("ascii"))
-
-    write(",".join(_COLUMNS).encode("ascii") + b"\n")
-    table = store._table
-    rows = _BLOCK // (8 * len(_COLUMNS))
-    for top in range(0, len(table), rows):
-        block = table[top : top + rows]
-        negative = block < 0
-        # abs wraps -2**63 to itself, which reads 2**63 as uint64: the
-        # view holds |v| for every int64 v.
-        magnitude = np.abs(block).view(np.uint64)
-        signed = negative.any(axis=0).tolist()
-        counts = [_word_count(column) for column in magnitude.T]
-        out = np.empty((len(block), sum(signed) + sum(counts) + len(counts)), dtype="<u4")
-        at = 0
-        for j, column in enumerate(magnitude.T):
-            if signed[j]:
-                out[:, at] = np.where(negative[:, j], _MINUS_WORD, _PAD_WORD)
-                at += 1
-            if j == _DIRECTION:
-                out[:, at] = _DIRECTION_WORDS[column]
-            else:
-                _fill_digits(out[:, at : at + counts[j]], column)
-            at += counts[j]
-            out[:, at] = _COMMA_WORD
-            at += 1
-        out[:, -1] = _NEWLINE_WORD
-        write(out.tobytes().translate(None, _PAD))
+    from the ray table, with ``direction`` as its compass name: the text
+    that ``csv.writer(stream, lineterminator="\\n")`` writes for them,
+    formatted by ``raster_io._format_rows`` a block of rows at a time."""
+    stream.write(",".join(_COLUMNS) + "\n")
+    names = {_DIRECTION: [name for name, _, _ in DIRECTIONS]}
+    for block in _format_rows(store._table, names):
+        stream.write(block.decode("ascii"))

@@ -13,7 +13,7 @@ import numbers
 import re
 from dataclasses import dataclass
 from itertools import compress
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -195,9 +195,14 @@ def _word_table() -> np.ndarray:
     return np.concatenate([padded, bare]).view("<u4").ravel()
 
 
+def _text_words(texts: Iterable[bytes]) -> np.ndarray:
+    """Each text of at most four ASCII bytes as one word, ``_PAD``-filled."""
+    return np.frombuffer(b"".join(text.ljust(4, _PAD) for text in texts), dtype="<u4")
+
+
 _WORDS = _word_table()
-_SPACE_WORD, _NEWLINE_WORD, _PAD_WORD = np.frombuffer(
-    b" " + _PAD * 3 + b"\n" + _PAD * 3 + _PAD * 4, dtype="<u4"
+_SPACE_WORD, _NEWLINE_WORD, _COMMA_WORD, _MINUS_WORD, _PAD_WORD = _text_words(
+    [b" ", b"\n", b",", b"-", b""]
 )
 
 
@@ -655,6 +660,50 @@ def _format_grid(head: bytes, labels: np.ndarray) -> bytes:
         out[width - 1 :: width, -1] = _NEWLINE_WORD
         parts.append(out.tobytes().translate(None, _PAD))
     return b"".join(parts)
+
+
+def _format_rows(table: np.ndarray, names: Mapping[int, Sequence[str]]) -> Iterator[bytes]:
+    """Each row of the int64 ``table`` as its fields one comma apart and
+    ending in LF: the bytes of ``csv.writer(stream, lineterminator="\\n")``
+    for the rows, yielded a block at a time.  A column ``j`` in ``names``
+    holds indices into ``names[j]``, names of one to four ASCII characters,
+    and is written as those names.
+
+    Works in blocks of rows of about ``_BLOCK`` bytes of table.  In a
+    block, a number takes a sign word if its column holds a negative value,
+    then as many four-digit words from ``_WORDS`` as the column's largest
+    magnitude needs; a name takes its word, and each comma and LF a word.
+    One ``bytes.translate`` per block erases the pad bytes.
+    """
+    name_words = {
+        j: _text_words(name.encode("ascii") for name in column) for j, column in names.items()
+    }
+    rows = max(1, _BLOCK // (8 * table.shape[1]))
+    for top in range(0, len(table), rows):
+        block = table[top : top + rows]
+        negative = block < 0
+        signed = negative.any(axis=0).tolist()
+        # abs wraps -2**63 to itself, which reads 2**63 as uint64: the
+        # view holds |v| for every int64 v.
+        magnitude = np.abs(block).view(np.uint64)
+        widths = [
+            1 if j in name_words else signed[j] + _word_count(column)
+            for j, column in enumerate(magnitude.T)
+        ]
+        out = np.empty((len(block), sum(widths) + len(widths)), dtype="<u4")
+        at = 0
+        for j, column in enumerate(magnitude.T):
+            if j in name_words:
+                out[:, at] = name_words[j][column]
+            else:
+                if signed[j]:
+                    out[:, at] = np.where(negative[:, j], _MINUS_WORD, _PAD_WORD)
+                _fill_digits(out[:, at + signed[j] : at + widths[j]], column)
+            at += widths[j]
+            out[:, at] = _COMMA_WORD
+            at += 1
+        out[:, -1] = _NEWLINE_WORD
+        yield out.tobytes().translate(None, _PAD)
 
 
 def _word_count(cells: np.ndarray) -> int:

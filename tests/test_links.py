@@ -25,7 +25,7 @@ from crownmerge import (
     group_distance,
     pair_distance,
 )
-from crownmerge import links as links_module
+from crownmerge import raster_io
 from crownmerge.links import dump_links_csv
 
 from conftest import (
@@ -607,12 +607,10 @@ def _csv_writer_bytes(table: np.ndarray) -> bytes:
 
 
 def _dumped(store: LinkStore) -> bytes:
-    """``dump_links_csv`` into a binary stream, checked against a text one."""
-    binary, text = io.BytesIO(), io.StringIO()
-    dump_links_csv(store, binary)
-    dump_links_csv(store, text)
-    assert text.getvalue().encode("ascii") == binary.getvalue()
-    return binary.getvalue()
+    """What ``dump_links_csv`` writes for the store."""
+    out = io.StringIO()
+    dump_links_csv(store, out)
+    return out.getvalue().encode("ascii")
 
 
 #: Around the four-digit word edges, the int64 ends and their neighbours.
@@ -652,7 +650,7 @@ def test_dump_links_csv_matches_csv_writer(table, block):
     # words and signs.
     store = LinkStore._from_table(table)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(links_module, "_BLOCK", block)
+        patch.setattr(raster_io, "_BLOCK", block)
         assert _dumped(store) == _csv_writer_bytes(store._table)
 
 
@@ -677,13 +675,12 @@ def test_dump_links_csv_writes_negative_fields():
     assert _dumped(store) == _csv_writer_bytes(store._table)
 
 
-@pytest.mark.parametrize("stream", [io.BytesIO, io.StringIO])
-def test_dump_links_csv_allocates_little_beside_its_output(stream):
+def test_dump_links_csv_allocates_little_beside_its_output():
     # The rows are formatted a block at a time, so the dump peaks at a
     # small multiple of the text it writes.
     scene = generate_random(42, 1000, size=256)
     store = cast_rays(scene.raster, extract_isols(scene.raster))
-    out = stream()
+    out = io.StringIO()
     tracemalloc.start()
     try:
         dump_links_csv(store, out)
