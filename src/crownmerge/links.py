@@ -20,7 +20,8 @@ the ray table: its pixels are ranked by a sort and a binary search, and
 every mask is read from one packed byte buffer.  ``agglomerate`` and the
 distances read the masks' counts and unions; only ``pair_union`` decodes
 a mask into pixels.  ``dump_links_csv`` writes the ray table as links.csv
-through ``raster_io._format_rows``, a block of rows at a time.
+through ``raster_io._format_rows`` with a comma separator: the one
+decimal-text writer, which also writes the text grids and PGM bodies.
 """
 
 from __future__ import annotations
@@ -485,8 +486,9 @@ def dump_links_csv(store: LinkStore, stream: IO[str]) -> None:
     """Debug dump: the ``_COLUMNS`` header, then one row per link straight
     from the ray table, with ``direction`` as its compass name: the text
     that ``csv.writer(stream, lineterminator="\\n")`` writes for them,
-    formatted by ``raster_io._format_rows`` a block of rows at a time."""
+    formatted a block of rows at a time by ``raster_io._format_rows``, the
+    writer of every decimal-text artifact, with ``b","`` as separator."""
     stream.write(",".join(_COLUMNS) + "\n")
     names = {_DIRECTION: [name for name, _, _ in DIRECTIONS]}
-    for block in _format_rows(store._table, names):
+    for block in _format_rows(store._table, b",", names):
         stream.write(block.decode("ascii"))

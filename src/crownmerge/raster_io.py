@@ -84,9 +84,7 @@ class LabeledRaster:
 
     def _freeze(self, arr: np.ndarray) -> None:
         """Check ``arr``'s shape, make it read-only and hold it as ``labels``."""
-        if arr.ndim != 2:
-            raise ValueError("labels must be a 2-D array")
-        if arr.shape != (self.height, self.width):
+        if _grid_shape(arr) != (self.height, self.width):
             raise ValueError(
                 f"label array shape {arr.shape} does not match "
                 f"height={self.height}, width={self.width}"
@@ -105,18 +103,18 @@ class LabeledRaster:
         """
         if labels.dtype != np.int64:
             raise ValueError(f"labels of dtype {labels.dtype} are not int64")
-        if labels.ndim != 2:
-            raise ValueError("labels must be a 2-D array")
+        height, width = _grid_shape(labels)
         raster = object.__new__(cls)
-        object.__setattr__(raster, "height", labels.shape[0])
-        object.__setattr__(raster, "width", labels.shape[1])
+        object.__setattr__(raster, "height", height)
+        object.__setattr__(raster, "width", width)
         raster._freeze(labels)
         return raster
 
     @classmethod
     def from_array(cls, labels: np.ndarray | Sequence[Sequence[int]]) -> "LabeledRaster":
         arr = np.asarray(labels)
-        return cls(width=arr.shape[1], height=arr.shape[0], labels=arr)
+        height, width = _grid_shape(arr)
+        return cls(width=width, height=height, labels=arr)
 
     def label_at(self, x: int, y: int) -> int:
         if not (0 <= x < self.width and 0 <= y < self.height):
@@ -129,6 +127,13 @@ class LabeledRaster:
         keep = labels > 0
         keep[1:] &= labels[1:] != labels[:-1]
         return tuple(labels[keep].tolist())
+
+
+def _grid_shape(arr: np.ndarray) -> tuple[int, int]:
+    """``arr``'s (height, width), or the ``ValueError`` of an array not 2-D."""
+    if arr.ndim != 2:
+        raise ValueError("labels must be a 2-D array")
+    return arr.shape
 
 
 @dataclass(frozen=True)
@@ -163,8 +168,8 @@ _PGM_TOKEN_RE = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 #: Labels are held as int64.
 _MAX_LABEL = int(np.iinfo(np.int64).max)
 
-#: Bytes per block of the text-grid reader and writer, which bounds their
-#: numpy temporaries whatever the raster size.
+#: Bytes per block of the plain-body reader and of ``_format_rows``, which
+#: bounds their numpy temporaries whatever the raster or table size.
 _BLOCK = 1 << 16
 
 #: The bytes of a plain text-grid body: ASCII digits, the two separators
@@ -180,7 +185,7 @@ _SEPARATORS = (b" ", b"\t", *_LINE_BREAKS)
 #: Longest plain token: every 18-digit number is below 2**63.
 _PLAIN_DIGITS = 18
 
-#: The byte the grid writer pads with and then erases.
+#: The byte ``_format_rows`` pads with and then erases.
 _PAD = b"\xff"
 
 
@@ -201,9 +206,7 @@ def _text_words(texts: Iterable[bytes]) -> np.ndarray:
 
 
 _WORDS = _word_table()
-_SPACE_WORD, _NEWLINE_WORD, _COMMA_WORD, _MINUS_WORD, _PAD_WORD = _text_words(
-    [b" ", b"\n", b",", b"-", b""]
-)
+_NEWLINE_WORD, _MINUS_WORD, _PAD_WORD = _text_words([b"\n", b"-", b""])
 
 
 def sniff_format(head: bytes) -> str:
@@ -587,7 +590,7 @@ def write_cluster_raster(
         raster: a raster of the scene's shape; only its width and height
             are read.
         groups: (group_id, member isol ids) pairs; group ids must be
-            positive and member sets pairwise disjoint.
+            integers in 1..2**63-1 and member sets pairwise disjoint.
         isols: segment lookup by id.
 
     Returns:
@@ -597,6 +600,10 @@ def write_cluster_raster(
     out = np.zeros((raster.height, raster.width), dtype=np.int64)
     seen: set[int] = set()
     for group_id, member_ids in groups:
+        # A float id would be truncated where painted, and one beyond
+        # int64 would overflow.
+        if not isinstance(group_id, numbers.Integral) or group_id > _MAX_LABEL:
+            raise ValueError(f"group id {group_id!r} is not an integer in 1..{_MAX_LABEL}")
         if group_id < 1:
             raise ValueError(f"group id must be positive, got {group_id}")
         for isol_id in member_ids:
@@ -619,90 +626,72 @@ def _ground(width: int, height: int) -> LabeledRaster:
 
 
 def dump_text_grid(raster: LabeledRaster, header: bool = True) -> str:
+    """One line per row, cells one space apart (see ``_format_rows``),
+    after a ``# W H`` line if ``header``."""
     head = f"# {raster.width} {raster.height}\n" if header else ""
-    return _format_grid(head.encode("ascii"), raster.labels).decode("ascii")
+    return b"".join([head.encode("ascii"), *_format_rows(raster.labels, b" ")]).decode("ascii")
 
 
 def dump_pgm(raster: LabeledRaster) -> bytes:
-    """Render as ASCII PGM (P2) with maxval = largest label (at least 1)."""
+    """Render as ASCII PGM (P2) with maxval = largest label (at least 1):
+    one line per row, samples one space apart (see ``_format_rows``)."""
     maxval = max(1, int(raster.labels.max(initial=0)))
     if maxval > 65535:
         raise ValueError(f"label {maxval} too large for PGM")
     head = f"P2\n{raster.width} {raster.height}\n{maxval}\n".encode("ascii")
-    return _format_grid(head, raster.labels)
+    return b"".join([head, *_format_rows(raster.labels, b" ")])
 
 
-def _format_grid(head: bytes, labels: np.ndarray) -> bytes:
-    """``head``, then each row of non-negative ``labels`` as decimal cells
-    one space apart and ending in LF: the bytes of ``" ".join(map(str, row))``.
+def _format_rows(
+    table: np.ndarray, separator: bytes, names: Mapping[int, Sequence[str]] | None = None
+) -> Iterator[bytes]:
+    """Each row of the int64 ``table`` as its fields ``separator`` apart and
+    ending in LF, yielded a block at a time: the bytes of
+    ``separator.join(map(str, row))`` per row, and with ``b","`` those of
+    ``csv.writer(stream, lineterminator="\\n")``.  A column ``j`` in
+    ``names`` holds indices into ``names[j]``, names of one to four ASCII
+    characters, and is written as those names.  This one writer makes the
+    text grids, the PGM bodies and links.csv.
 
-    Works in blocks of whole rows of about ``_BLOCK`` bytes of labels.  A
-    block of one-digit cells is written as digit and separator bytes.
-    Otherwise each cell takes as many four-digit words from ``_WORDS`` as
-    the block's largest label needs, and its separator a fifth; the pad
-    bytes are then erased in one ``bytes.translate``.
-    """
-    height, width = labels.shape
-    rows = max(1, _BLOCK // (8 * width))
-    parts = [head]
-    for top in range(0, height, rows):
-        cells = labels[top : top + rows].ravel()
-        if cells.max() < 10:
-            out = np.empty((cells.size, 2), dtype=np.uint8)
-            out[:, 0] = cells + ord("0")
-            out[:, 1] = ord(" ")
-            out[width - 1 :: width, 1] = ord("\n")
-            parts.append(out.tobytes())
-            continue
-        out = np.empty((cells.size, _word_count(cells) + 1), dtype="<u4")
-        _fill_digits(out[:, :-1], cells)
-        out[:, -1] = _SPACE_WORD
-        out[width - 1 :: width, -1] = _NEWLINE_WORD
-        parts.append(out.tobytes().translate(None, _PAD))
-    return b"".join(parts)
-
-
-def _format_rows(table: np.ndarray, names: Mapping[int, Sequence[str]]) -> Iterator[bytes]:
-    """Each row of the int64 ``table`` as its fields one comma apart and
-    ending in LF: the bytes of ``csv.writer(stream, lineterminator="\\n")``
-    for the rows, yielded a block at a time.  A column ``j`` in ``names``
-    holds indices into ``names[j]``, names of one to four ASCII characters,
-    and is written as those names.
-
-    Works in blocks of rows of about ``_BLOCK`` bytes of table.  In a
-    block, a number takes a sign word if its column holds a negative value,
-    then as many four-digit words from ``_WORDS`` as the column's largest
-    magnitude needs; a name takes its word, and each comma and LF a word.
-    One ``bytes.translate`` per block erases the pad bytes.
+    Works in blocks of rows of about ``_BLOCK`` bytes of table.  A block
+    with no name column and no cell outside 0..9 is written as digit and
+    separator bytes.  Otherwise every number takes a sign word if the
+    block holds a negative value, then as many four-digit words from
+    ``_WORDS`` as the block's largest magnitude needs; a name takes its
+    word, and each separator and LF a word.  One ``bytes.translate`` per
+    block erases the pad bytes.
     """
     name_words = {
-        j: _text_words(name.encode("ascii") for name in column) for j, column in names.items()
+        j: _text_words(name.encode("ascii") for name in column)
+        for j, column in (names or {}).items()
     }
+    (separator_word,) = _text_words([separator])
     rows = max(1, _BLOCK // (8 * table.shape[1]))
     for top in range(0, len(table), rows):
         block = table[top : top + rows]
-        negative = block < 0
-        signed = negative.any(axis=0).tolist()
-        # abs wraps -2**63 to itself, which reads 2**63 as uint64: the
-        # view holds |v| for every int64 v.
-        magnitude = np.abs(block).view(np.uint64)
-        widths = [
-            1 if j in name_words else signed[j] + _word_count(column)
-            for j, column in enumerate(magnitude.T)
-        ]
-        out = np.empty((len(block), sum(widths) + len(widths)), dtype="<u4")
-        at = 0
-        for j, column in enumerate(magnitude.T):
-            if j in name_words:
-                out[:, at] = name_words[j][column]
-            else:
-                if signed[j]:
-                    out[:, at] = np.where(negative[:, j], _MINUS_WORD, _PAD_WORD)
-                _fill_digits(out[:, at + signed[j] : at + widths[j]], column)
-            at += widths[j]
-            out[:, at] = _COMMA_WORD
-            at += 1
-        out[:, -1] = _NEWLINE_WORD
+        # Read as uint64, a negative value is above ``_MAX_LABEL``.
+        largest = block.view(np.uint64).max()
+        signed = bool(largest > _MAX_LABEL)
+        if not name_words and largest < 10:
+            out = np.empty((*block.shape, 2), dtype=np.uint8)
+            out[..., 0] = block + ord("0")
+            out[..., 1] = separator[0]
+            out[:, -1, 1] = ord("\n")
+            yield out.tobytes()
+            continue
+        # abs wraps -2**63 to itself, which reads 2**63 as uint64: the view
+        # holds |v| for every int64 v.
+        magnitude = np.abs(block).view(np.uint64) if signed else block
+        words = signed + _word_count(magnitude)
+        out = np.empty((*block.shape, words + 1), dtype="<u4")
+        if signed:
+            out[..., 0] = np.where(block < 0, _MINUS_WORD, _PAD_WORD)
+        _fill_digits(out[..., signed:words], magnitude)
+        out[..., words] = separator_word
+        out[:, -1, words] = _NEWLINE_WORD
+        for j, column in name_words.items():
+            out[:, j, 0] = column[block[:, j]]
+            out[:, j, 1:words] = _PAD_WORD
         yield out.tobytes().translate(None, _PAD)
 
 
@@ -713,18 +702,19 @@ def _word_count(cells: np.ndarray) -> int:
 
 def _fill_digits(out: np.ndarray, cells: np.ndarray) -> None:
     """Write each non-negative int in ``cells`` (int64 or uint64) as its
-    ``str`` into a row of ``out``, a ``(len(cells), words)`` array of
-    ``_WORDS`` words, most significant first; the words hold ``_PAD``
-    bytes where ``str`` has none, for the caller to erase."""
-    words = out.shape[1]
+    ``str`` into ``out``, an array of ``_WORDS`` words with one more axis
+    than ``cells``, most significant word first along the last axis; the
+    words hold ``_PAD`` bytes where ``str`` has none, for the caller to
+    erase."""
+    words = out.shape[-1]
     # From the units word up; a word with no digits above it drops its
     # leading zeros.
     rest = cells
     for w in range(words - 1, 0, -1):
         rest, low = np.divmod(rest, 10000)
         np.add(low, 10000, out=low, where=rest == 0)
-        out[:, w] = _WORDS[low]
-    out[:, 0] = _WORDS[10000 + rest]
+        out[..., w] = _WORDS[low]
+    out[..., 0] = _WORDS[10000 + rest]
     # A word wholly above a cell's leading digit is all pad, not "0".
     for w in range(words - 1):
         out[cells < 10 ** (4 * (words - 1 - w)), w] = _PAD_WORD

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 import tracemalloc
 import warnings
 from contextlib import nullcontext
@@ -99,8 +100,12 @@ def test_text_grid_empty_rejected():
         parse("")
 
 
-#: Labels at the digit counts the text-grid reader and writer switch on.
-DIGIT_EDGES = (0, 9, 10, 99, 100, 10**17, 10**18 - 1, 10**18, 2**63 - 1)
+#: Labels at the digit counts the text-grid reader and writer switch on,
+#: among them the edges of the writer's four-digit words.
+DIGIT_EDGES = (
+    0, 9, 10, 99, 100, 9999, 10000, 10**8 - 1, 10**8, 10**12 - 1, 10**12,
+    10**16 - 1, 10**16, 10**17, 10**18 - 1, 10**18, 2**63 - 1,
+)
 
 
 @st.composite
@@ -462,6 +467,12 @@ def test_raster_labels_are_frozen():
         raster.labels[0, 0] = 5
 
 
+@pytest.mark.parametrize("labels", [[1, 2], [], 7, [[[1]]]], ids=["1-D", "empty", "0-D", "3-D"])
+def test_from_array_rejects_non_2d(labels):
+    with pytest.raises(ValueError, match="labels must be a 2-D array"):
+        LabeledRaster.from_array(labels)
+
+
 @pytest.mark.parametrize("build", ["init", "from_array"])
 def test_raster_copies_the_callers_array(build):
     # A raster never aliases memory that its caller can still write.
@@ -711,3 +722,11 @@ def test_cluster_raster_rejects_bad_group_id():
     raster = LabeledRaster.from_array(QUAD_GRID)
     with pytest.raises(ValueError, match="positive"):
         write_cluster_raster(raster, [(0, [1])], by_id(extract_isols(raster)))
+
+
+@pytest.mark.parametrize("group_id", [1.5, 2.0, "1", 2**63, np.uint64(2**63)])
+def test_cluster_raster_rejects_non_int64_group_id(group_id):
+    raster = LabeledRaster.from_array(QUAD_GRID)
+    message = f"group id {group_id!r} is not an integer in 1..{2**63 - 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_cluster_raster(raster, [(group_id, [1])], by_id(extract_isols(raster)))
