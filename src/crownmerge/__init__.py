@@ -11,7 +11,6 @@ from .hac import Hierarchy, HierarchyNode, agglomerate, group_pixels, hierarchy_
 from .links import (
     DIRECTIONS,
     NO_CONNECTION,
-    ConnectiveLink,
     LinkStore,
     cast_rays,
     group_distance,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BreakCounts",
-    "ConnectiveLink",
     "DIRECTIONS",
     "DispersionStats",
     "FORMATS",

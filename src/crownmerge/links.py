@@ -7,30 +7,30 @@ in both axes, king-style) across interstitial label-0 pixels and either
 * leaves the raster           -> discarded,
 * returns to its own segment  -> discarded,
 * reaches another segment     -> recorded as a link, one int64 row of
-                                 the ray table ``_COLUMNS``; its pixels
-                                 are derived where read.
+                                 the ray table ``_COLUMNS``.
 
-The connective distance between two segments is the number of distinct
-interstitial pixels covered by all their links together, so overlapping
-rays are only counted once.  Segment pairs with no links are infinitely
-far apart.  Every such pixel union is held once, as a bit mask
-(``Mask``, united by ``_unite``) in one table per store
-(``LinkStore._masks``) built on first use from one vectorised pass over
-the ray table: its pixels are ranked by a sort and a binary search, and
-every mask is read from one packed byte buffer.  ``agglomerate`` and the
-distances read the masks' counts and unions; only ``pair_union`` decodes
-a mask into pixels.  ``dump_links_csv`` writes the ray table as links.csv
-through ``raster_io._format_rows`` with a comma separator: the one
-decimal-text writer, which also writes the text grids and PGM bodies.
+A ``LinkStore`` is that table, sorted by segment pair; ``links_between``
+returns a pair's rows, and a row's pixels are the ``length`` steps after
+its origin in its direction.  The connective distance between two
+segments is the number of distinct interstitial pixels covered by all
+their links together, so overlapping rays are only counted once.  Segment
+pairs with no links are infinitely far apart.  Every such pixel union is
+held once, as a bit mask (``Mask``, united by ``_unite``) in one table per
+store (``LinkStore._masks``) built on first use from one vectorised pass
+over the ray table: its pixels are ranked by a sort and a binary search,
+and every mask is read from one packed byte buffer.  ``agglomerate`` and
+the distances read the masks' counts and unions; only ``pair_union``
+decodes a mask into pixels.  ``dump_links_csv`` writes the ray table as
+links.csv through ``raster_io._format_rows`` with a comma separator: the
+one decimal-text writer, which also writes the text grids and PGM bodies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -48,8 +48,7 @@ DIRECTIONS: tuple[tuple[str, int, int], ...] = (
     ("NW", -1, -1),
 )
 
-_DIRECTION_INDEX = {name: d for d, (name, _, _) in enumerate(DIRECTIONS)}
-#: In ``ConnectiveLink`` field order, with a ``DIRECTIONS`` index; also the links.csv header.
+#: The ray table's columns, ``direction`` as a ``DIRECTIONS`` index; also the links.csv header.
 _COLUMNS = ("origin_isol", "target_isol", "direction", "origin_x", "origin_y", "length")
 _DIRECTION = _COLUMNS.index("direction")
 
@@ -77,71 +76,32 @@ def _unite(a: Mask, b: Mask) -> Mask:
 NO_CONNECTION = math.inf
 
 
-@dataclass(frozen=True)
-class ConnectiveLink:
-    """A recorded ray to another segment: ``interstitial`` derives the
-    ``length`` ground pixels it crossed after ``origin_pixel`` in ``direction``."""
-
-    origin_isol: int
-    target_isol: int
-    direction: str
-    origin_pixel: PixelCoord
-    length: int
-
-    @property
-    def interstitial(self) -> tuple[PixelCoord, ...]:
-        (px, py), (_, dx, dy) = self.origin_pixel, DIRECTIONS[_DIRECTION_INDEX[self.direction]]
-        return tuple((px + dx * k, py + dy * k) for k in range(1, self.length + 1))
-
-
 class LinkStore:
-    """All links of a scene, grouped by unordered segment pair.
+    """All links of a scene: one int64 ray table, grouped by unordered segment pair.
 
-    The links are one int64 ray table (every field must fit in int64),
+    ``LinkStore(table)`` takes ``(n, 6)`` rows in ``_COLUMNS`` order, with
+    ``direction`` as a ``DIRECTIONS`` index.  It keeps a read-only copy,
     stably sorted by pair so that each pair keeps its links in the order
-    given, beside a pair -> row range index.
-    ``links_between`` builds new, equal ``ConnectiveLink`` objects from
-    the rows on each call.  Every pair's pixel union is one mask in
-    ``_masks``, built on first use and kept, since the ray table never
-    changes.  The union readers raise ``ValueError`` if a link pixel
-    leaves the non-negative int64 quadrant, which only a store built by
-    hand can do; the table then caches nothing, so they raise on every call.
+    given, beside a pair -> row range index; ``links_between`` returns views
+    of it.  Every pair's pixel union is one mask in ``_masks``, built on
+    first use and kept, since the ray table never changes.  The union
+    readers raise ``ValueError`` if a link pixel leaves the non-negative
+    int64 quadrant, which only a store built by hand can do; the table then
+    caches nothing, so they raise on every call.
     """
 
-    def __init__(self, links_by_pair: Mapping[tuple[int, int], Sequence[ConnectiveLink]]):
-        rows = []
-        for pair, links in links_by_pair.items():
-            a, b = pair
-            if a >= b:
-                raise ValueError(f"pair key {pair} must be (low, high) with low < high")
-            if not links:
-                raise ValueError(f"pair {pair} has an empty link list")
-            for link in links:
-                if {link.origin_isol, link.target_isol} != {a, b}:
-                    raise ValueError(
-                        f"link {link.origin_isol}->{link.target_isol} "
-                        f"filed under pair {pair}"
-                    )
-                if link.direction not in _DIRECTION_INDEX:
-                    raise ValueError(f"link has unknown direction {link.direction!r}")
-                (x, y), d = link.origin_pixel, _DIRECTION_INDEX[link.direction]
-                rows.append((link.origin_isol, link.target_isol, d, x, y, link.length))
-        table = np.empty((len(rows), len(_COLUMNS)), dtype=np.int64)
-        for j, column in enumerate(zip(*rows)):
-            try:
-                table[:, j] = column
-            except OverflowError:
-                raise ValueError(f"link {_COLUMNS[j]} does not fit in int64") from None
-        self._index(table)
-
-    @classmethod
-    def _from_table(cls, table: np.ndarray) -> LinkStore:
-        store = cls.__new__(cls)
-        store._index(table)
-        return store
-
-    def _index(self, table: np.ndarray) -> None:
-        """Check ``table``, sort its rows stably by pair and index each pair's rows."""
+    def __init__(self, table: np.ndarray):
+        """Raises ``ValueError`` for a table that is not 2-D int64 with
+        ``len(_COLUMNS)`` columns, or for a row that joins a segment to
+        itself, has an unknown direction index or a negative length."""
+        table = np.asarray(table)
+        if table.ndim != 2 or table.shape[1] != len(_COLUMNS):
+            raise ValueError(
+                f"link table must have shape (n, {len(_COLUMNS)}) for the columns "
+                f"{', '.join(_COLUMNS)}; got shape {table.shape}"
+            )
+        if table.dtype != np.int64:
+            raise ValueError(f"link table must be int64, got {table.dtype}")
         origin, target, direction, _, _, length = table.T
         if (origin == target).any():
             raise ValueError(f"link {origin[origin == target][0]} joins a segment to itself")
@@ -153,6 +113,7 @@ class LinkStore:
         lo, hi = np.minimum(origin, target), np.maximum(origin, target)
         order = np.lexsort((hi, lo))
         self._table, lo, hi = table[order], lo[order], hi[order]
+        self._table.setflags(write=False)
         first = np.ones(len(order), dtype=bool)
         first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
         starts = np.flatnonzero(first).tolist() + [len(order)]
@@ -163,16 +124,10 @@ class LinkStore:
         """Linked segment pairs, sorted."""
         return tuple(self._rows)
 
-    def has_links(self, a: int, b: int) -> bool:
-        return _key(a, b) in self._rows
-
-    def links_between(self, a: int, b: int) -> tuple[ConnectiveLink, ...]:
-        """The pair's links in stored order, as new objects; () if unlinked."""
-        rows = self._table[self._rows.get(_key(a, b), slice(0))].tolist()
-        return tuple(
-            ConnectiveLink(origin, target, DIRECTIONS[d][0], (x, y), n)
-            for origin, target, d, x, y, n in rows
-        )
+    def links_between(self, a: int, b: int) -> np.ndarray:
+        """The pair's rows of the ray table in stored order, as a read-only
+        view; shape ``(0, 6)`` if the pair has no links."""
+        return self._table[self._rows.get(_key(a, b), slice(0))]
 
     def pair_union(self, a: int, b: int) -> set[PixelCoord]:
         """Distinct interstitial pixels over the pair's links, in a new set the caller owns.
@@ -190,11 +145,6 @@ class LinkStore:
         )
         ys, xs = np.divmod(ranked[low + np.flatnonzero(on)], span)
         return set(zip(xs.tolist(), ys.tolist()))
-
-    def link_stats(self, a: int, b: int) -> tuple[int, int]:
-        """(link count, summed link length) for the pair; (0, 0) if unlinked."""
-        rows = self._table[self._rows.get(_key(a, b), slice(0))]
-        return len(rows), sum(rows[:, _COLUMNS.index("length")].tolist())
 
     def _footprint_pass(self) -> tuple[int, np.ndarray, np.ndarray]:
         """``(span, flat, bounds)``: every linked pair's distinct footprint
@@ -319,9 +269,6 @@ class LinkStore:
         }
         return span, ranked, masks
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
 
 def _key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
@@ -373,7 +320,7 @@ def cast_rays(
     edges = [sorted(isol.edge_pixels) for isol in isols]
     counts = [len(edge) for edge in edges]
     if not sum(counts):
-        return LinkStore({})
+        return LinkStore(np.empty((0, len(_COLUMNS)), dtype=np.int64))
 
     top = np.iinfo(np.int64).max
     pixels = chain.from_iterable(chain.from_iterable(edges))
@@ -437,7 +384,7 @@ def cast_rays(
 
     rays = np.flatnonzero(reached)
     origin, direction = np.divmod(rays, len(DIRECTIONS))
-    return LinkStore._from_table(np.column_stack((
+    return LinkStore(np.column_stack((
         own[origin], target.ravel()[rays], direction, ox[origin], oy[origin], length.ravel()[rays]
     )))
 
@@ -453,7 +400,7 @@ def pair_distance(store: LinkStore, a: int, b: int) -> int | float:
     The count of distinct interstitial pixels over the pair's links; 0 for
     touching segments, ``NO_CONNECTION`` when no link exists.
     """
-    if not store.has_links(a, b):
+    if _key(a, b) not in store._rows:
         return NO_CONNECTION
     return store._masks[2][_key(a, b)][0][2]
 
@@ -472,7 +419,7 @@ def group_distance(
         raise ValueError("groups must be non-empty")
     if set_a & set_b:
         raise ValueError(f"groups overlap: {sorted(set_a & set_b)}")
-    linked = [_key(a, b) for a in set_a for b in set_b if store.has_links(a, b)]
+    linked = [_key(a, b) for a in set_a for b in set_b if _key(a, b) in store._rows]
     if not linked:
         return NO_CONNECTION
     masks = store._masks[2]

@@ -2,14 +2,16 @@
 
 Everything here recomputes from first principles: text grids with one
 Python ``int()`` or ``str()`` per cell, segments from one full-raster mask
-per label, links by walking every ray pixel by pixel into plain lists
-(each link's derived pixels are checked against the walk), group
-distances from the raw per-link pixel tuples, break points by literal
-max-over-prefix, cumulative link areas by walking the whole merge
-subtree, cluster rasters painted one pixel tuple at a time, and ranked
-groups scored from their members' pixel tuples.  Nothing is shared with
-the optimized code paths beyond the public types and, where an oracle
-takes a store, the link store accessors.
+per label, links by walking every ray pixel by pixel into plain row
+tuples (each row's pixels, re-derived by ``ray_pixels``, are checked
+against the walk), group distances from every link row's pixels, break
+points by literal max-over-prefix, cumulative link areas by walking the
+whole merge subtree, cluster rasters painted one pixel tuple at a time,
+and ranked groups scored from their members' pixel tuples.  Nothing is
+shared with the optimized code paths beyond the public types and, where
+an oracle takes a store, its ``pairs`` and ``links_between`` rows.
+``link_table`` builds hand-made ray tables from rows that name their
+direction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from crownmerge import (
     DIRECTIONS,
-    ConnectiveLink,
     DispersionStats,
     Hierarchy,
     Isol,
@@ -121,23 +122,39 @@ def rank_groups(hierarchy: Hierarchy, isols, terminals, key: str) -> list[Ranked
     return [candidate for _, _, candidate in scored]
 
 
-def walk_links(
-    raster, isols, max_ray: int | None = None
-) -> dict[tuple[int, int], list[ConnectiveLink]]:
+def link_table(*rows) -> np.ndarray:
+    """A ray table for ``LinkStore`` from ``(origin, target, direction
+    name, x, y, length)`` rows, the direction named as in ``DIRECTIONS``."""
+    index = {name: d for d, (name, _, _) in enumerate(DIRECTIONS)}
+    table = [(origin, target, index[name], x, y, n) for origin, target, name, x, y, n in rows]
+    return np.array(table, dtype=np.int64).reshape(-1, 6)
+
+
+def ray_pixels(row) -> tuple:
+    """The ground pixels a ray-table row crossed: the ``length`` steps
+    after its origin in its direction, as int tuples."""
+    _, _, d, x, y, length = map(int, row)
+    _, dx, dy = DIRECTIONS[d]
+    return tuple((x + dx * k, y + dy * k) for k in range(1, length + 1))
+
+
+def walk_links(raster, isols, max_ray: int | None = None) -> dict[tuple[int, int], list]:
     """Links by walking every ray pixel by pixel from every edge pixel,
-    as plain lists keyed by (low, high) pair, built without ``LinkStore``.
+    built without ``LinkStore``: per (low, high) pair, a list of ``(row,
+    pixels)`` with the ray-table row as a tuple and the pixels the walk
+    crossed.
 
     Rays go segment by segment in the given order, edge pixels sorted,
     directions in ``DIRECTIONS`` order.
     """
     width, height = raster.width, raster.height
     flat = raster.labels.ravel().tolist()
-    found: dict[tuple[int, int], list[ConnectiveLink]] = {}
+    found: dict[tuple[int, int], list] = {}
 
     for isol in isols:
         own = isol.id
         for px, py in sorted(isol.edge_pixels):
-            for name, dx, dy in DIRECTIONS:
+            for d, (_, dx, dy) in enumerate(DIRECTIONS):
                 x, y = px + dx, py + dy
                 path: list = []
                 while 0 <= x < width and 0 <= y < height:
@@ -150,18 +167,12 @@ def walk_links(
                         y += dy
                         continue
                     if label != own:
-                        link = ConnectiveLink(
-                            origin_isol=own,
-                            target_isol=label,
-                            direction=name,
-                            origin_pixel=(px, py),
-                            length=len(path),
-                        )
-                        # The link derives its pixels from its ray; they
-                        # must be the ones this walk crossed.
-                        assert link.interstitial == tuple(path), (link, path)
+                        row = (own, label, d, px, py, len(path))
+                        # A row derives its pixels from its ray; they must
+                        # be the ones this walk crossed.
+                        assert ray_pixels(row) == tuple(path), (row, path)
                         found.setdefault((min(own, label), max(own, label)), []).append(
-                            link
+                            (row, tuple(path))
                         )
                     break
     return found
@@ -169,18 +180,20 @@ def walk_links(
 
 def walk_rays(raster, isols, max_ray: int | None = None) -> LinkStore:
     """``walk_links`` in a store."""
-    return LinkStore(walk_links(raster, isols, max_ray))
+    walked = walk_links(raster, isols, max_ray)
+    rows = [row for links in walked.values() for row, _ in links]
+    return LinkStore(np.array(rows, dtype=np.int64).reshape(-1, 6))
 
 
 def raw_union(store: LinkStore, group_a, group_b) -> tuple[set, bool]:
-    """Cross-group interstitial pixel union, straight from the link tuples."""
+    """Cross-group interstitial pixel union, straight from the link rows."""
     union: set = set()
     linked = False
     for a in group_a:
         for b in group_b:
-            for link in store.links_between(a, b):
+            for row in store.links_between(a, b).tolist():
                 linked = True
-                union.update(link.interstitial)
+                union.update(ray_pixels(row))
     return union, linked
 
 
@@ -266,10 +279,11 @@ def brute_force_merge_params(
     total = 0
     for a in hierarchy.node(left).members:
         for b in hierarchy.node(right).members:
-            for link in store.links_between(a, b):
-                pixels.update(link.interstitial)
+            for row in store.links_between(a, b).tolist():
+                crossed = ray_pixels(row)
+                pixels.update(crossed)
                 count += 1
-                total += len(link.interstitial)
+                total += len(crossed)
     return len(pixels), count, total
 
 

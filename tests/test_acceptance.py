@@ -126,7 +126,7 @@ def test_criterion_4_invariants(corpus):
                 pair_distance(store, a, b)
                 for a in group_a
                 for b in group_b
-                if store.has_links(a, b)
+                if len(store.links_between(a, b))
             ]
             if linked:
                 assert d <= sum(linked)

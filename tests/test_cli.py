@@ -115,26 +115,6 @@ def test_run_pipeline_empty_scene(tmp_path):
     assert np.array_equal(painted.labels, np.zeros((2, 2), dtype=np.int64))
 
 
-def test_run_pipeline_builds_no_link_objects(tmp_path, monkeypatch):
-    # Links stay ray-table rows from cast_rays to the links.csv dump.
-    path = tmp_path / "scene.txt"
-    path.write_text(dump_text_grid(generate_random(3, n_isols=40, size=64).raster))
-    run_pipeline(PipelineConfig(input_path=path, out_dir=tmp_path / "a", dump_links=True))
-
-    class Refused:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("the pipeline built a ConnectiveLink")
-
-    monkeypatch.setattr(links, "ConnectiveLink", Refused)
-    run_pipeline(PipelineConfig(input_path=path, out_dir=tmp_path / "b", dump_links=True))
-    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*"))
-    assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*"))
-    assert Path("links.csv") in files
-    for name in files:
-        a, b = tmp_path / "a" / name, tmp_path / "b" / name
-        assert a.is_dir() or a.read_bytes() == b.read_bytes(), name
-
-
 def _artifact_digest(out_dir: Path) -> str:
     """SHA-256 over every file under ``out_dir`` by relative path: path,
     size, bytes (as ``perfbench/workloads.py`` ``artifact_digest``)."""

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 
 from crownmerge import (
-    ConnectiveLink,
     Hierarchy,
     HierarchyNode,
     Isol,
@@ -34,6 +33,7 @@ from oracles import (
     brute_force_a_cumulative,
     brute_force_merge_params,
     brute_force_merge_sequence,
+    link_table,
     merge_sequence_of,
     walk_rays,
 )
@@ -148,14 +148,14 @@ def _bare_isols(ids):
 
 
 def test_agglomerate_rejects_a_linked_segment_missing_from_isols():
-    store = LinkStore({(2, 9): [ConnectiveLink(2, 9, "E", (0, 0), 1)]})
+    store = LinkStore(link_table((2, 9, "E", 0, 0, 1)))
     with pytest.raises(ValueError, match=r"\(2, 9\) names isol 9"):
         agglomerate(_bare_isols([1, 2]), store)
 
 
 def test_agglomerate_rejects_repeated_isol_ids():
     # Two singletons with members {2} would leave one of them unmerged.
-    store = LinkStore({(1, 2): [ConnectiveLink(1, 2, "E", (0, 0), 1)]})
+    store = LinkStore(link_table((1, 2, "E", 0, 0, 1)))
     with pytest.raises(ValueError, match="isol id 2 is given more than once"):
         agglomerate(_bare_isols([2, 1, 2]), store)
 
@@ -298,13 +298,14 @@ def test_crossing_rays_unite_overlapping_masks():
     # (2, 1).  Segment 5 reaches up column 1 to both groups; its two
     # entries overlap on (1, 4)..(1, 9) but start at (1, 2) and (1, 4),
     # so the fold unites masks at different offsets.
-    store = LinkStore({
-        (1, 2): [ConnectiveLink(1, 2, "E", (0, 2), 3)],
-        (3, 4): [ConnectiveLink(3, 4, "S", (2, 0), 3)],
-        (2, 4): [ConnectiveLink(2, 4, "S", (4, 0), 5)],
-        (1, 5): [ConnectiveLink(5, 1, "N", (1, 10), 8)],
-        (3, 5): [ConnectiveLink(5, 3, "N", (1, 10), 6), ConnectiveLink(3, 5, "W", (5, 9), 3)],
-    })
+    store = LinkStore(link_table(
+        (1, 2, "E", 0, 2, 3),
+        (3, 4, "S", 2, 0, 3),
+        (2, 4, "S", 4, 0, 5),
+        (5, 1, "N", 1, 10, 8),
+        (5, 3, "N", 1, 10, 6),
+        (3, 5, "W", 5, 9, 3),
+    ))
     isols = [Isol(id=i, pixels=frozenset(), edge_pixels=frozenset()) for i in range(1, 6)]
     h = agglomerate(isols, store)
     assert merge_sequence_of(h) == brute_force_merge_sequence(isols, store)

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 from crownmerge import (
     DIRECTIONS,
     NO_CONNECTION,
-    ConnectiveLink,
     Isol,
     LabeledRaster,
     LinkStore,
@@ -26,7 +25,7 @@ from crownmerge import (
     pair_distance,
 )
 from crownmerge import raster_io
-from crownmerge.links import dump_links_csv
+from crownmerge.links import _COLUMNS, dump_links_csv
 
 from conftest import (
     QUAD_GRID,
@@ -38,11 +37,17 @@ from conftest import (
     mosaic_rasters,
     synth_rasters,
 )
-from oracles import raw_union, walk_links
+from oracles import link_table, ray_pixels, raw_union, walk_links
 
 
 def scene(rows):
     return build_bundle(LabeledRaster.from_array(rows))
+
+
+def _link_stats(store: LinkStore, a: int, b: int) -> tuple[int, int]:
+    """(link count, summed link length) of a pair, read off its rows."""
+    rows = store.links_between(a, b)
+    return len(rows), sum(rows[:, _COLUMNS.index("length")].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +71,7 @@ def test_eight_compass_directions():
 
 def test_quad_linked_pairs_exactly(quad):
     assert quad.store.pairs() == ((1, 2), (1, 3), (1, 4), (2, 3), (3, 4))
-    assert not quad.store.has_links(2, 4)
+    assert quad.store.links_between(2, 4).shape == (0, 6)
 
 
 def test_quad_pair_distances(quad):
@@ -87,12 +92,12 @@ def test_quad_pair_unions(quad):
 
 def test_quad_link_stats(quad):
     # (link count, summed length); rays from both endpoints all count.
-    assert quad.store.link_stats(1, 4) == (4, 4)
-    assert quad.store.link_stats(2, 3) == (2, 4)
-    assert quad.store.link_stats(3, 4) == (2, 6)
-    assert quad.store.link_stats(1, 2) == (4, 16)
-    assert quad.store.link_stats(1, 3) == (4, 12)
-    assert quad.store.link_stats(2, 4) == (0, 0)
+    assert _link_stats(quad.store, 1, 4) == (4, 4)
+    assert _link_stats(quad.store, 2, 3) == (2, 4)
+    assert _link_stats(quad.store, 3, 4) == (2, 6)
+    assert _link_stats(quad.store, 1, 2) == (4, 16)
+    assert _link_stats(quad.store, 1, 3) == (4, 12)
+    assert _link_stats(quad.store, 2, 4) == (0, 0)
 
 
 def test_pair_union_is_a_new_set_on_each_call():
@@ -106,27 +111,27 @@ def test_pair_union_is_a_new_set_on_each_call():
     assert second == want and second is not first
     second |= store.pair_union(1, 2)
     assert store.pair_union(1, 3) == want
-    assert store.link_stats(1, 3) == (4, 12)
+    assert _link_stats(store, 1, 3) == (4, 12)
 
 
 def test_quad_both_endpoints_cast(quad):
-    origins = {link.origin_isol for link in quad.store.links_between(1, 4)}
+    origins = {origin for origin, *_ in quad.store.links_between(1, 4).tolist()}
     assert origins == {1, 4}
 
 
 def test_quad_interstitial_is_background(quad):
     # Every recorded interstitial pixel must be label 0 in the scene.
     for pair in quad.store.pairs():
-        for link in quad.store.links_between(*pair):
-            for x, y in link.interstitial:
+        for row in quad.store.links_between(*pair):
+            for x, y in ray_pixels(row):
                 assert QUAD_GRID[y][x] == 0
 
 
 def test_one_link_per_origin_pixel_and_direction(quad):
     seen = set()
     for pair in quad.store.pairs():
-        for link in quad.store.links_between(*pair):
-            key = (link.origin_isol, link.origin_pixel, link.direction)
+        for origin, _, direction, x, y, _ in quad.store.links_between(*pair).tolist():
+            key = (origin, (x, y), direction)
             assert key not in seen
             seen.add(key)
 
@@ -138,9 +143,9 @@ def test_one_link_per_origin_pixel_and_direction(quad):
 
 def test_touching_segments_distance_zero():
     bundle = scene([[1, 2]])
-    assert bundle.store.has_links(1, 2)
+    assert bundle.store.pairs() == ((1, 2),)
     assert pair_distance(bundle.store, 1, 2) == 0
-    assert all(link.length == 0 for link in bundle.store.links_between(1, 2))
+    assert all(length == 0 for *_, length in bundle.store.links_between(1, 2).tolist())
 
 
 def test_two_pixel_gap():
@@ -159,16 +164,14 @@ def test_ray_returning_to_own_segment_is_discarded():
 
 def test_diagonal_rays_are_king_moves():
     bundle = scene([[1, 0, 0], [0, 0, 0], [0, 0, 2]])
-    (link,) = [
-        l for l in bundle.store.links_between(1, 2) if l.origin_isol == 1
-    ]
-    assert link.direction == "SE"
-    assert link.interstitial == ((1, 1),)
+    (link,) = [row for row in bundle.store.links_between(1, 2).tolist() if row[0] == 1]
+    assert DIRECTIONS[link[2]][0] == "SE"
+    assert ray_pixels(link) == ((1, 1),)
 
 
 def test_rays_leaving_raster_make_no_links():
     bundle = scene([[0, 1, 0]])
-    assert len(bundle.store) == 0
+    assert bundle.store.pairs() == ()
     assert pair_distance(bundle.store, 1, 1) == NO_CONNECTION
 
 
@@ -176,7 +179,7 @@ def test_max_ray_caps_interstitial_length():
     rows = [[1, 0, 0, 0, 0, 2]]
     raster = LabeledRaster.from_array(rows)
     isols = extract_isols(raster)
-    assert len(cast_rays(raster, isols, max_ray=3)) == 0
+    assert cast_rays(raster, isols, max_ray=3).pairs() == ()
     capped = cast_rays(raster, isols, max_ray=4)
     assert pair_distance(capped, 1, 2) == 4
 
@@ -231,7 +234,7 @@ def test_cast_rays_casts_nothing_from_isols_without_edge_pixels(isol_id):
     isol = Isol(isol_id, frozenset({(0, 0)}), frozenset())
     assert cast_rays(raster, [isol]).pairs() == ()
     store = cast_rays(raster, [isol, _isol(2, (2, 0))])
-    assert store.link_stats(1, 2) == (1, 1)
+    assert _link_stats(store, 1, 2) == (1, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,17 +266,11 @@ def _assert_cast_rays_matches_walk(raster, max_ray, reverse):
     want = walk_links(raster, isols, max_ray=max_ray)
     assert got.pairs() == tuple(sorted(want))
     for pair in got.pairs():
-        links = got.links_between(*pair)
-        assert links == tuple(want[pair])
-        assert got.pair_union(*pair) == set(
-            chain.from_iterable(link.interstitial for link in want[pair])
-        )
-        assert got.link_stats(*pair) == (
-            len(want[pair]), sum(link.length for link in want[pair])
-        )
-        for link in links:
-            assert type(link.target_isol) is int
-            assert all(type(v) is int for px in link.interstitial for v in px)
+        rows = got.links_between(*pair)
+        assert rows.dtype == np.int64 and not rows.flags.writeable
+        assert rows.tolist() == [list(row) for row, _ in want[pair]]
+        assert got.pair_union(*pair) == set(chain.from_iterable(path for _, path in want[pair]))
+        assert _link_stats(got, *pair) == (len(want[pair]), sum(row[5] for row, _ in want[pair]))
         assert all(type(v) is int for px in got.pair_union(*pair) for v in px)
 
 
@@ -302,7 +299,7 @@ def test_flat_pair_unions_match_pair_union_and_link_stats(raster, max_ray):
         assert bits & 1 if count else (bits, low) == (0, 0)
         decoded = {pixels[low + i] for i in range(bits.bit_length()) if bits >> i & 1}
         assert decoded == raw_union(store, {pair[0]}, {pair[1]})[0] == store.pair_union(*pair)
-        assert (link_count, length_sum) == store.link_stats(*pair)
+        assert (link_count, length_sum) == _link_stats(store, *pair)
         footprint |= decoded
     assert footprint == set(pixels)
 
@@ -318,7 +315,7 @@ def test_flat_pair_unions_of_touching_pair_are_empty_but_linked():
 def test_flat_pair_unions_span_covers_far_ends():
     # Cast rays always come in mirrored pairs; a store built by hand need
     # not, so the span must bound the far end of a one-way link too.
-    store = LinkStore({(1, 2): [ConnectiveLink(1, 2, "SE", (0, 0), 3)]})
+    store = LinkStore(link_table((1, 2, "SE", 0, 0, 3)))
     span, ranked, masks = store._masks
     assert (span, ranked.tolist()) == (4, [5, 10, 15])
     assert masks == {(1, 2): ((0b111, 0, 3), 1, 3)}
@@ -328,10 +325,11 @@ def test_flat_pair_unions_offset_masks_by_lowest_rank():
     # Ranks 0..5 are the pixels (1..3, 1) and (1..3, 3) in row-major
     # order; pair (1, 2) covers the first row and pair (2, 3) the second,
     # so its mask starts at rank 3.
-    store = LinkStore({
-        (1, 2): [ConnectiveLink(1, 2, "E", (0, 1), 3)],
-        (2, 3): [ConnectiveLink(3, 2, "E", (0, 3), 3), ConnectiveLink(2, 3, "W", (4, 3), 2)],
-    })
+    store = LinkStore(link_table(
+        (1, 2, "E", 0, 1, 3),
+        (3, 2, "E", 0, 3, 3),
+        (2, 3, "W", 4, 3, 2),
+    ))
     span, ranked, masks = store._masks
     assert (span, ranked.tolist()) == (5, [6, 7, 8, 16, 17, 18])
     assert masks == {(1, 2): ((0b111, 0, 3), 1, 3), (2, 3): ((0b111, 3, 3), 2, 5)}
@@ -341,11 +339,11 @@ def test_flat_pair_unions_offset_masks_by_lowest_rank():
 @pytest.mark.parametrize(
     "link, message",
     [
-        (ConnectiveLink(1, 2, "W", (0, 0), 1), "non-negative"),
-        (ConnectiveLink(1, 2, "E", (2**40, 2**40), 1), "overflow int64"),
-        (ConnectiveLink(1, 2, "N", (3, 5), 6), "non-negative"),
-        (ConnectiveLink(1, 2, "E", (2**63 - 1, 0), 1), "far ends must fit in int64"),
-        (ConnectiveLink(1, 2, "SE", (0, 2**63 - 2), 2), "far ends must fit in int64"),
+        ((1, 2, "W", 0, 0, 1), "non-negative"),
+        ((1, 2, "E", 2**40, 2**40, 1), "overflow int64"),
+        ((1, 2, "N", 3, 5, 6), "non-negative"),
+        ((1, 2, "E", 2**63 - 1, 0, 1), "far ends must fit in int64"),
+        ((1, 2, "SE", 0, 2**63 - 2, 2), "far ends must fit in int64"),
     ],
 )
 def test_flat_pair_unions_reject_unkeyable_pixels(link, message):
@@ -353,7 +351,7 @@ def test_flat_pair_unions_reject_unkeyable_pixels(link, message):
     # ends past int64 would wrap, and too wide a bounding box would
     # overflow the pair-major keys.  Every union reader says so, again on
     # a second call: a failed build of the mask table keeps nothing.
-    store = LinkStore({(1, 2): [link]})
+    store = LinkStore(link_table(link))
     readers = (
         lambda: store._masks,
         lambda: store.pair_union(1, 2),
@@ -378,7 +376,7 @@ def test_footprint_pass_runs_once_per_store(monkeypatch):
     )
     bundle = build_bundle(mosaic(0, n_cells=40, size=48, valley=1))
     store, isols = bundle.store, bundle.isols
-    assert len(store) > 100 and bundle.hierarchy.merge_node_ids()
+    assert len(store.pairs()) > 100 and bundle.hierarchy.merge_node_ids()
     for a, b in store.pairs():
         assert len(store.pair_union(a, b)) == pair_distance(store, a, b)
         assert group_distance(store, {a}, {b}) == pair_distance(store, b, a)
@@ -459,52 +457,53 @@ def test_group_distance_rejects_empty(quad):
 # ---------------------------------------------------------------------------
 
 
-def _link(a: int, b: int, direction: str = "E", length: int = 1) -> ConnectiveLink:
-    return ConnectiveLink(
-        origin_isol=a, target_isol=b, direction=direction,
-        origin_pixel=(0, 0), length=length,
-    )
-
-
-def test_store_rejects_unsorted_pair_key():
-    with pytest.raises(ValueError, match="low < high"):
-        LinkStore({(2, 1): [_link(2, 1)]})
-
-
-def test_store_rejects_empty_link_list():
-    with pytest.raises(ValueError, match="empty"):
-        LinkStore({(1, 2): []})
-
-
-def test_store_rejects_misfiled_link():
-    with pytest.raises(ValueError, match="filed under"):
-        LinkStore({(1, 2): [_link(1, 3)]})
-
-
 def test_store_rejects_unknown_direction():
-    with pytest.raises(ValueError, match="unknown direction 'EAST'"):
-        LinkStore({(1, 2): [_link(1, 2), _link(2, 1, direction="EAST")]})
+    # The index is compared as it is, so even the largest int64 is named.
+    table = np.array([(1, 2, 2, 0, 0, 1), (2, 1, 2**63 - 1, 0, 0, 1)], dtype=np.int64)
+    with pytest.raises(ValueError, match=f"unknown direction index {2**63 - 1}"):
+        LinkStore(table)
 
 
 def test_store_rejects_negative_length():
     with pytest.raises(ValueError, match="negative length -1"):
-        LinkStore({(1, 2): [_link(1, 2, length=-1)]})
+        LinkStore(link_table((1, 2, "E", 0, 0, -1)))
 
 
 @pytest.mark.parametrize(
     "link, field",
     [
-        (ConnectiveLink(2**63, 1, "E", (0, 0), 1), "origin_isol"),
-        (ConnectiveLink(1, -(2**63) - 1, "E", (0, 0), 1), "target_isol"),
-        (ConnectiveLink(1, 2, "E", (2**63, 0), 1), "origin_x"),
-        (ConnectiveLink(1, 2, "E", (0, -(2**63) - 1), 1), "origin_y"),
-        (ConnectiveLink(1, 2, "E", (0, 0), 2**63), "length"),
+        ((2**63, 1, 2, 0, 0, 1), "origin_isol"),
+        ((1, -(2**63) - 1, 2, 0, 0, 1), "target_isol"),
+        ((1, 2, 2, 2**63, 0, 1), "origin_x"),
+        ((1, 2, 2, 0, -(2**63) - 1, 1), "origin_y"),
+        ((1, 2, 2, 0, 0, 2**63), "length"),
     ],
 )
 def test_store_rejects_fields_beyond_int64(link, field):
-    pair = tuple(sorted((link.origin_isol, link.target_isol)))
-    with pytest.raises(ValueError, match=f"link {field} does not fit in int64"):
-        LinkStore({pair: [link]})
+    # A field past int64 comes in a table of another dtype, here uint64 or
+    # object; the store takes int64 tables only, so nothing wraps.
+    table = np.array([link], dtype=np.uint64 if min(link) >= 0 else object)
+    value = link[_COLUMNS.index(field)]
+    assert table[0, _COLUMNS.index(field)] == value and not -(2**63) <= value < 2**63
+    with pytest.raises(ValueError, match=f"link table must be int64, got {table.dtype}"):
+        LinkStore(table)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (np.zeros(6, dtype=np.int64), r"shape \(n, 6\) .*; got shape \(6,\)"),
+        (np.zeros((1, 1, 6), dtype=np.int64), r"got shape \(1, 1, 6\)"),
+        (np.zeros((2, 5), dtype=np.int64), r"got shape \(2, 5\)"),
+        (np.zeros((0, 7), dtype=np.int64), r"got shape \(0, 7\)"),
+        (np.array([(1.0, 2.0, 2.0, 0.0, 0.0, 1.5)]), "must be int64, got float64"),
+        (np.zeros((0, 6), dtype=np.int32), "must be int64, got int32"),
+        ([], r"got shape \(0,\)"),
+    ],
+)
+def test_store_rejects_tables_of_other_shapes_or_dtypes(table, message):
+    with pytest.raises(ValueError, match=message):
+        LinkStore(table)
 
 
 @pytest.mark.parametrize(
@@ -517,65 +516,53 @@ def test_store_rejects_fields_beyond_int64(link, field):
     ],
 )
 def test_ray_table_checks(row, message):
-    # cast_rays hands its rays over as a table; they are checked there.
+    # cast_rays hands its rays over as a table; the constructor checks it.
     table = np.array([(1, 2, 2, 0, 0, 1), row], dtype=np.int64)
     with pytest.raises(ValueError, match=message):
-        LinkStore._from_table(table)
+        LinkStore(table)
 
 
 int64s = st.integers(-(2**63), 2**63 - 1)
 
 
 @st.composite
-def links_by_pair(draw) -> dict[tuple[int, int], list[ConnectiveLink]]:
-    """Hand-built stores: int64 ids, both orientations, every direction."""
+def hand_tables(draw) -> np.ndarray:
+    """Hand-built ray tables: a few int64 ids, so that pairs repeat in both
+    orientations, every direction and any length."""
     ids = draw(st.lists(int64s, min_size=2, max_size=6, unique=True))
-    pairs = draw(
+    rows = draw(
         st.lists(
-            st.tuples(st.sampled_from(ids), st.sampled_from(ids))
-            .filter(lambda ab: ab[0] < ab[1]),
-            unique=True,
-            max_size=6,
+            st.tuples(
+                st.sampled_from(ids),
+                st.sampled_from(ids),
+                st.integers(0, len(DIRECTIONS) - 1),
+                int64s,
+                int64s,
+                st.integers(0, 2**63 - 1) | st.integers(0, 3),
+            ).filter(lambda row: row[0] != row[1]),
+            max_size=30,
         )
     )
-    mapping = {}
-    for a, b in pairs:
-        mapping[(a, b)] = draw(
-            st.lists(
-                st.builds(
-                    lambda ends, direction, pixel, length: ConnectiveLink(
-                        *ends, direction, pixel, length
-                    ),
-                    st.sampled_from([(a, b), (b, a)]),
-                    st.sampled_from([name for name, _, _ in DIRECTIONS]),
-                    st.tuples(int64s, int64s),
-                    st.integers(0, 2**63 - 1) | st.integers(0, 3),
-                ),
-                min_size=1,
-                max_size=5,
-            )
-        )
-    return mapping
+    return np.array(rows, dtype=np.int64).reshape(-1, 6)
 
 
 @settings(max_examples=200, deadline=None)
-@given(links_by_pair(), int64s, int64s)
-def test_hand_built_store_round_trips(mapping, x, y):
-    store = LinkStore(mapping)
-    assert store.pairs() == tuple(sorted(mapping)) and len(store) == len(mapping)
-    for (a, b), links in mapping.items():
+@given(hand_tables(), int64s, int64s)
+def test_hand_built_store_round_trips(table, x, y):
+    store = LinkStore(table)
+    given_rows: dict[tuple[int, int], list] = {}
+    for row in table.tolist():
+        given_rows.setdefault((min(row[:2]), max(row[:2])), []).append(row)
+    assert store.pairs() == tuple(sorted(given_rows))
+    # The store keeps its own copy: the caller's table may change.
+    table[:] = 0
+    for (a, b), rows in given_rows.items():
         for got in (store.links_between(a, b), store.links_between(b, a)):
-            assert got == tuple(links)
-            for link in got:
-                fields = (link.origin_isol, link.target_isol, *link.origin_pixel, link.length)
-                assert all(type(v) is int for v in fields)
-        count, total = store.link_stats(a, b)
-        assert (count, total) == (len(links), sum(link.length for link in links))
-        assert type(count) is int and type(total) is int
-    if x != y and (min(x, y), max(x, y)) not in mapping:
-        assert not store.has_links(x, y)
-        assert store.links_between(x, y) == ()
-        assert store.link_stats(x, y) == (0, 0)
+            assert got.tolist() == rows
+            assert got.dtype == np.int64 and not got.flags.writeable
+    if x != y and (min(x, y), max(x, y)) not in given_rows:
+        got = store.links_between(x, y)
+        assert got.shape == (0, 6) and got.dtype == np.int64 and not got.flags.writeable
 
 
 def test_dump_links_csv(quad):
@@ -586,11 +573,9 @@ def test_dump_links_csv(quad):
     raster = LabeledRaster.from_array(QUAD_GRID)
     walked = walk_links(raster, extract_isols(raster))
     want = [
-        [str(v) for v in (
-            link.origin_isol, link.target_isol, link.direction, *link.origin_pixel, link.length
-        )]
+        [str(v) for v in (origin, target, DIRECTIONS[d][0], x, y, n)]
         for pair in sorted(walked)
-        for link in walked[pair]
+        for (origin, target, d, x, y, n), _ in walked[pair]
     ]
     assert list(csv.reader(lines[1:])) == want
 
@@ -648,24 +633,23 @@ def ray_tables(draw) -> np.ndarray:
 def test_dump_links_csv_matches_csv_writer(table, block):
     # Blocks of one and two rows make neighbouring rows differ in digit
     # words and signs.
-    store = LinkStore._from_table(table)
+    store = LinkStore(table)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(raster_io, "_BLOCK", block)
         assert _dumped(store) == _csv_writer_bytes(store._table)
 
 
 def test_dump_links_csv_of_empty_store_is_its_header():
-    assert _dumped(LinkStore({})) == b"origin_isol,target_isol,direction,origin_x,origin_y,length\n"
+    header = b"origin_isol,target_isol,direction,origin_x,origin_y,length\n"
+    assert _dumped(LinkStore(link_table())) == header
 
 
 def test_dump_links_csv_writes_negative_fields():
-    store = LinkStore({
-        (-10000, -5): [
-            ConnectiveLink(-5, -10000, "SW", (-3, -10001), 2),
-            ConnectiveLink(-10000, -5, "N", (7, 0), 0),
-        ],
-        (-5, 3): [ConnectiveLink(3, -5, "NE", (-(2**63), 2**63 - 1), 12)],
-    })
+    store = LinkStore(link_table(
+        (-5, -10000, "SW", -3, -10001, 2),
+        (-10000, -5, "N", 7, 0, 0),
+        (3, -5, "NE", -(2**63), 2**63 - 1, 12),
+    ))
     assert _dumped(store) == (
         b"origin_isol,target_isol,direction,origin_x,origin_y,length\n"
         b"-5,-10000,SW,-3,-10001,2\n"
