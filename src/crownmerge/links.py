@@ -17,10 +17,11 @@ their links together, so overlapping rays are only counted once.  Segment
 pairs with no links are infinitely far apart.  Every such pixel union is
 held once, as a bit mask (``Mask``, united by ``_unite``) in one table per
 store (``LinkStore._masks``) built on first use from one vectorised pass
-over the ray table: its pixels are ranked by a sort and a binary search,
-and every mask is read from one packed byte buffer.  ``agglomerate`` and
-the distances read the masks' counts and unions; only ``pair_union``
-decodes a mask into pixels.  ``dump_links_csv`` writes the ray table as
+over the ray table: one sort of every link pixel, keyed pixel-major by
+pixel then pair, ranks the pixels and lists each pair's bits, and every
+mask is read from one packed byte buffer.  ``agglomerate`` and the
+distances read the masks' counts and unions; only ``pair_union`` decodes
+a mask into pixels.  ``dump_links_csv`` writes the ray table as
 links.csv through ``raster_io._format_rows`` with a comma separator: the
 one decimal-text writer, which also writes the text grids and PGM bodies.
 """
@@ -83,11 +84,13 @@ class LinkStore:
     ``direction`` as a ``DIRECTIONS`` index.  It keeps a read-only copy,
     stably sorted by pair so that each pair keeps its links in the order
     given, beside a pair -> row range index; ``links_between`` returns views
-    of it.  Every pair's pixel union is one mask in ``_masks``, built on
-    first use and kept, since the ray table never changes.  The union
-    readers raise ``ValueError`` if a link pixel leaves the non-negative
-    int64 quadrant, which only a store built by hand can do; the table then
-    caches nothing, so they raise on every call.
+    of it.  Every pair's pixel union is one mask in the table ``_masks``,
+    built from the ray table by one sort on first use (by ``agglomerate``,
+    in a pipeline run) and kept, since the ray table never changes; every
+    later reader gets that same table.  The union readers raise
+    ``ValueError`` if a link pixel leaves the non-negative int64 quadrant,
+    which only a store built by hand can do; the table then caches nothing,
+    so they raise on every call.
     """
 
     def __init__(self, table: np.ndarray):
@@ -146,23 +149,38 @@ class LinkStore:
         ys, xs = np.divmod(ranked[low + np.flatnonzero(on)], span)
         return set(zip(xs.tolist(), ys.tolist()))
 
-    def _footprint_pass(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """``(span, flat, bounds)``: every linked pair's distinct footprint
-        pixels, built in one vectorised pass over the ray table.
+    @cached_property
+    def _masks(self) -> tuple[int, np.ndarray, dict[tuple[int, int], tuple[Mask, int, int]]]:
+        """``(span, ranked, {pair: (mask, link count, length sum)})`` over
+        every linked pair, sorted by pair; built on first use and kept.
 
-        Pair ``i`` (in ``pairs()`` order) covers ``flat[bounds[i]:bounds[i + 1]]``,
-        its pixels as ascending flat indices ``y * span + x``; ``span`` is one
-        more than the largest x of any link's origin or far end, so it bounds
-        every footprint x.  Each footprint ``origin + step * (1..length)`` is
-        expanded for all table rows at once, keyed ``pair * size + flat`` and
-        deduplicated by a sort and a neighbour mask (``np.unique`` is far
-        slower on wide keys).  Every link pixel, far end included, must lie
-        in the non-negative int64 quadrant, or the flat indices would collide
-        or wrap.
+        ``ranked`` holds every distinct footprint pixel as a flat index
+        ``y * span + x``, ascending, so a pixel's rank is its row-major
+        position among them; ``span`` is one more than the largest x of any
+        link's origin or far end, so it bounds every footprint x.  ``mask``
+        is the pair's pixel union as ``(bits, low, count)``: bit ``i`` of
+        the int ``bits`` stands for rank ``low + i``, ``low`` is the pair's
+        lowest rank (0 for an empty mask) and ``count`` the number of set
+        bits.
+
+        Built in one vectorised pass over the ray table.  Each footprint
+        ``origin + step * (1..length)`` is expanded for all rows at once,
+        keyed pixel-major as ``flat * n_pairs + pair`` (pair ``i`` in
+        ``pairs()`` order), then sorted once and deduplicated by a
+        neighbour mask (``np.unique`` is far slower on wide keys).  That
+        lists every distinct (pixel, pair) in pixel order, so ``ranked`` is
+        the flat index where it changes and a pixel's rank is the running
+        count of those changes.  Each (pixel, pair) sets its own bit in one
+        packed byte buffer that every mask is read from; each temporary is
+        freed after its last reader.  Every link pixel, far end included,
+        must lie in the non-negative int64 quadrant, or the flat indices
+        would collide or wrap.  The masks are immutable, so readers may
+        share them.
         """
         pairs = self.pairs()
         if not pairs:
-            return 1, np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+            return 1, np.empty(0, dtype=np.int64), {}
+        n_pairs = len(pairs)
         counts = [rows.stop - rows.start for rows in self._rows.values()]
         _, _, direction, ox, oy, length = self._table.T
         dx, dy = np.array([step for _, *step in DIRECTIONS])[direction].T
@@ -179,83 +197,59 @@ class LinkStore:
         far_x, far_y = ox + dx * length, oy + dy * length
         span = int(max(ox.max(), far_x.max())) + 1
         size = span * (int(max(oy.max(), far_y.max())) + 1)
-        if len(pairs) * size > top:
-            raise ValueError(f"{len(pairs)} pairs of {size} pixels overflow int64 keys")
+        if n_pairs * size > top:
+            raise ValueError(f"{n_pairs} pairs of {size} pixels overflow int64 keys")
+        del far_x, far_y
 
-        # Pixel k (1-based) of a link is keyed pair * size + origin + step * k:
-        # a cumsum of each pixel's step, where a link's first step jumps
-        # from the previous link's last key.
-        step = dy * span + dx
-        origin = np.repeat(np.arange(len(pairs)), counts) * size + oy * span + ox
+        # Pixel k (1-based) of a link is keyed (origin + step * k) * n_pairs
+        # + pair: a cumsum of each pixel's step, where a link's first step
+        # jumps from the previous link's last key.
+        step = (dy * span + dx) * n_pairs
+        del dx, dy
+        origin = (oy * span + ox) * n_pairs + np.repeat(np.arange(n_pairs), counts)
         drawn = length > 0
         first, last = (origin + step)[drawn], (origin + step * length)[drawn]
         keys = np.repeat(step, length)
         keys[(np.cumsum(length) - length)[drawn]] = first - np.append(0, last[:-1])
+        del step, origin, drawn, first, last
         np.cumsum(keys, out=keys)
         keys.sort()
         distinct = np.ones(keys.size, dtype=bool)
         distinct[1:] = keys[1:] != keys[:-1]
         keys = keys[distinct]
         del distinct
-        bounds = np.searchsorted(keys, np.arange(len(pairs) + 1) * size)
-        return span, np.remainder(keys, size, out=keys), bounds
-
-    @cached_property
-    def _masks(self) -> tuple[int, np.ndarray, dict[tuple[int, int], tuple[Mask, int, int]]]:
-        """``(span, ranked, {pair: (mask, link count, length sum)})`` over
-        every linked pair, sorted by pair; built on first use and kept.
-
-        ``ranked`` holds every distinct footprint pixel as a flat index
-        ``y * span + x`` (``span`` as in ``_footprint_pass``), ascending, so
-        a pixel's rank is its row-major position among them.  ``mask`` is
-        the pair's pixel union as ``(bits, low, count)``: bit ``i`` of the
-        int ``bits`` stands for rank ``low + i``, ``low`` is the pair's
-        lowest rank (0 for an empty mask) and ``count`` the number of set
-        bits.  The footprint pass's pixels are sorted once and deduplicated
-        into ``ranked``, and a binary search in it (``searchsorted``) gives
-        each pixel its rank.  The ranks then become, in place, byte offsets
-        into one buffer that every pixel's bit is ORed into and each mask is
-        read from; each temporary is freed after its last reader.  The
-        masks are immutable, so readers may share them.
-        """
-        span, flat, bounds = self._footprint_pass()
-        if not self._rows:
-            return span, flat, {}
-        pairs = self.pairs()
-        counts = [rows.stop - rows.start for rows in self._rows.values()]
-        length = self._table[:, _COLUMNS.index("length")]
-
-        # Rank: the position of a pixel's flat index among the distinct
-        # ones.  Each pair's flat indices ascend, so its ranks do too and
-        # its first rank is its lowest.
-        ranked = np.sort(flat)
-        distinct = np.ones(ranked.size, dtype=bool)
-        distinct[1:] = ranked[1:] != ranked[:-1]
-        ranked = ranked[distinct]
-        del distinct
-        rank = np.searchsorted(ranked, flat)
-        del flat
-        npix = np.diff(bounds)
-        filled = npix > 0
-        low = np.zeros(len(pairs), dtype=np.int64)
-        low[filled] = rank[bounds[:-1][filled]]
-        nbytes = np.zeros(len(pairs), dtype=np.int64)
-        nbytes[filled] = (rank[bounds[1:][filled] - 1] - low[filled]) // 8 + 1
+        pair = keys % n_pairs
+        flat = np.floor_divide(keys, n_pairs, out=keys)
+        # Rank: the count of pixel changes up to a (pixel, pair), less one.
+        # Each pair's ranks ascend along the keys, one per pixel.
+        changed = np.ones(flat.size, dtype=bool)
+        changed[1:] = flat[1:] != flat[:-1]
+        ranked = flat[changed]
+        del flat, keys
+        rank = changed.astype(np.int64)
+        del changed
+        np.cumsum(rank, out=rank)
+        rank -= 1
+        npix = np.bincount(pair, minlength=n_pairs)
+        low = np.full(n_pairs, ranked.size)
+        np.minimum.at(low, pair, rank)
+        low[npix == 0] = 0
+        high = low.copy()
+        np.maximum.at(high, pair, rank)
+        nbytes = np.where(npix > 0, (high - low) // 8 + 1, 0)
         byte_bounds = np.append(0, np.cumsum(nbytes))
         # Bit i of a mask is bit i % 8 of its byte i // 8 (little-endian),
-        # so ``rank`` becomes each pixel's byte offset in place.  Byte
-        # offsets never decrease along it, so one reduceat ORs each byte's
-        # bits together.
-        rank -= np.repeat(low, npix)
+        # and its bytes start at byte_bounds[pair], so ``rank`` becomes, in
+        # place, each bit's position in one buffer of every mask.  Every
+        # (pixel, pair) is a distinct bit, so adding them sets each byte as
+        # an OR would.
+        rank += (8 * byte_bounds[:-1] - low)[pair]
+        del pair
         bits = (rank & 7).astype(np.uint8)
         np.left_shift(1, bits, out=bits)
         rank >>= 3
-        rank += np.repeat(byte_bounds[:-1], npix)
         packed = np.zeros(int(byte_bounds[-1]), dtype=np.uint8)
-        if rank.size:
-            new_byte = np.flatnonzero(np.append(True, rank[1:] != rank[:-1]))
-            packed[rank[new_byte]] = np.bitwise_or.reduceat(bits, new_byte)
-            del new_byte
+        np.add.at(packed, rank, bits)
         del rank, bits
         buffer = memoryview(packed)
         # reduceat keeps the sums exact int64; every pair has a link.

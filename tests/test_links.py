@@ -336,6 +336,56 @@ def test_flat_pair_unions_offset_masks_by_lowest_rank():
     assert store.pair_union(2, 3) == {(1, 3), (2, 3), (3, 3)}
 
 
+#: Rows of hand-built ray tables: ids 1-5, any direction, lengths 0-4 and
+#: origins in a 6x6 box shifted by the longest length, so that every pixel
+#: stays in the quadrant.  Unlike cast tables, these have one-way links,
+#: zero-length rows, duplicate rows and many pairs over one pixel.
+hand_rows = st.tuples(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=len(DIRECTIONS) - 1),
+    st.integers(min_value=4, max_value=9),
+    st.integers(min_value=4, max_value=9),
+    st.integers(min_value=0, max_value=4),
+).filter(lambda row: row[0] != row[1])
+
+
+@st.composite
+def hand_tables(draw) -> list[tuple[int, ...]]:
+    rows = draw(st.lists(hand_rows, max_size=24))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=6))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_tables())
+@example([])
+@example([(1, 2, 2, 4, 4, 0), (2, 1, 6, 5, 4, 0)])  # touching only: no pixels
+@example([(1, 2, 3, 4, 4, 4), (3, 4, 1, 4, 8, 4), (1, 2, 3, 4, 4, 4)])  # crossing, duplicated
+def test_masks_match_sets_of_ray_pixels(rows):
+    store = LinkStore(np.array(rows, dtype=np.int64).reshape(-1, 6))
+    span, ranked, masks = store._masks
+    footprints: dict[tuple[int, int], set] = {}
+    stats: dict[tuple[int, int], tuple[int, int]] = {}
+    for row in rows:
+        pair = (min(row[:2]), max(row[:2]))
+        footprints.setdefault(pair, set()).update(ray_pixels(row))
+        links, total = stats.get(pair, (0, 0))
+        stats[pair] = (links + 1, total + row[5])
+    far_x = [x + DIRECTIONS[d][1] * n for _, _, d, x, _, n in rows]
+    want_span = max([x for *_, x, _, _ in rows] + far_x, default=0) + 1
+    want_ranked = sorted({y * want_span + x for pixels in footprints.values() for x, y in pixels})
+    assert (span, ranked.tolist()) == (want_span, want_ranked)
+    rank = {flat: r for r, flat in enumerate(want_ranked)}
+    assert list(masks) == sorted(footprints)
+    for pair, pixels in footprints.items():
+        ranks = [rank[y * want_span + x] for x, y in pixels]
+        low = min(ranks, default=0)
+        bits = sum(1 << (r - low) for r in ranks)
+        assert masks[pair] == ((bits, low, len(pixels)), *stats[pair])
+
+
 @pytest.mark.parametrize(
     "link, message",
     [
@@ -366,22 +416,18 @@ def test_flat_pair_unions_reject_unkeyable_pixels(link, message):
     assert "_masks" not in store.__dict__
 
 
-def test_footprint_pass_runs_once_per_store(monkeypatch):
-    # agglomerate and every union reader share one mask table, so the
-    # vectorised pass over the ray table runs once, however often they read.
-    calls = []
-    footprint_pass = LinkStore._footprint_pass
-    monkeypatch.setattr(
-        LinkStore, "_footprint_pass", lambda self: calls.append(1) or footprint_pass(self)
-    )
+def test_mask_table_is_built_once_per_store():
+    # agglomerate and every union reader share one mask table: the one
+    # agglomerate built is kept, and every later read gets that object.
     bundle = build_bundle(mosaic(0, n_cells=40, size=48, valley=1))
     store, isols = bundle.store, bundle.isols
+    table = store.__dict__["_masks"]
     assert len(store.pairs()) > 100 and bundle.hierarchy.merge_node_ids()
     for a, b in store.pairs():
         assert len(store.pair_union(a, b)) == pair_distance(store, a, b)
         assert group_distance(store, {a}, {b}) == pair_distance(store, b, a)
     assert group_distance(store, [isols[0].id], [isol.id for isol in isols[1:]]) > 0
-    assert len(calls) == 1
+    assert store.__dict__["_masks"] is table and store._masks is table
 
 
 @settings(max_examples=150, deadline=None)

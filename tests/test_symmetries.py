@@ -1,16 +1,36 @@
-"""Metamorphic checks: scene changes that the links and the forest must keep.
+"""Metamorphic checks: scene changes that the links, the forest and its
+trim must keep.
 
 Rays run in all 8 directions, edge pixels are 4-neighbour and merge ties
 go by the smallest ids, so rotating or reflecting the scene, or padding
-it with ground, moves every ray-table row and changes nothing else.
+it with ground, moves every ray-table row and changes nothing else, and
+an order-keeping relabel changes only the ids.  Upscaling is no exact
+symmetry, so it is checked by its known answer: the planted ring stays
+rank 1.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crownmerge import DIRECTIONS, LabeledRaster, LinkStore
+from crownmerge import (
+    DIRECTIONS,
+    LabeledRaster,
+    LinkStore,
+    by_id,
+    compute_params,
+    count_breaks,
+    filter_terminals,
+    generate_ring,
+    parameter_stream,
+    rank_candidates,
+    trace_all,
+    trim,
+)
 
 from conftest import (
     QUAD_GRID,
@@ -37,6 +57,23 @@ def _transform(labels: np.ndarray, symmetry) -> np.ndarray:
     if flip_y:
         out = out[::-1]
     return out.copy()
+
+
+#: The streams whose break counts, ``f_significance`` and trim are compared.
+STREAMS = ("a_merge", "lw_over_acum")
+
+
+def _termination(bundle) -> list[tuple]:
+    """Per stream in ``STREAMS``: the break counts per node id, the
+    significance threshold (``f_significance``) and the ``trim`` result."""
+    hierarchy = bundle.hierarchy
+    node_params = compute_params(hierarchy, by_id(bundle.isols))
+    out = []
+    for choice in STREAMS:
+        stream = parameter_stream(hierarchy, node_params, choice)
+        breaks = count_breaks(hierarchy, trace_all(hierarchy, stream))
+        out.append((breaks.counts, breaks.significance, trim(hierarchy, breaks)))
+    return out
 
 
 def _sorted_rows(store: LinkStore) -> list[tuple[int, ...]]:
@@ -79,6 +116,7 @@ def test_symmetries_and_padding_keep_the_ray_table_and_forest(raster, max_ray, p
     base = build_bundle(raster, max_ray=max_ray)
     rows = _sorted_rows(base.store)
     nodes = list(base.hierarchy.nodes())
+    termination = _termination(base)
     for symmetry in SYMMETRIES:
         moved = build_bundle(
             LabeledRaster.from_array(_transform(raster.labels, symmetry)), max_ray=max_ray
@@ -86,6 +124,7 @@ def test_symmetries_and_padding_keep_the_ray_table_and_forest(raster, max_ray, p
         want = _transformed_rows(rows, raster.labels.shape, symmetry)
         assert _sorted_rows(moved.store) == want, symmetry
         assert list(moved.hierarchy.nodes()) == nodes, symmetry
+        assert _termination(moved) == termination, symmetry
     top, bottom, left, right = pad
     padded_labels = np.pad(raster.labels, ((top, bottom), (left, right)))
     padded = build_bundle(LabeledRaster.from_array(padded_labels), max_ray=max_ray)
@@ -93,3 +132,58 @@ def test_symmetries_and_padding_keep_the_ray_table_and_forest(raster, max_ray, p
         (origin, target, d, x + left, y + top, length) for origin, target, d, x, y, length in rows
     )
     assert list(padded.hierarchy.nodes()) == nodes
+    assert _termination(padded) == termination
+
+
+@settings(max_examples=80, deadline=None)
+@given(label_rasters() | synth_rasters | mosaic_rasters, max_rays, st.data())
+@example(LabeledRaster.from_array(QUAD_GRID), None, None)
+@example(mosaic(0, n_cells=40, size=48, valley=1), 2, None)
+def test_order_keeping_relabel_maps_only_the_ids(raster, max_ray, data):
+    # Ids are drawn small or past 10**12, sorted: merge ties go by the
+    # smallest ids, so any strictly increasing relabel keeps the node ids,
+    # and every node and row changes only in the ids it names.
+    ids = raster.positive_ids()
+    if data is None:
+        new_ids = [10**12 + 7 * i for i in range(len(ids))]
+    else:
+        new_ids = sorted(data.draw(st.lists(
+            st.integers(1, 50) | st.integers(10**12, 2**63 - 1),
+            min_size=len(ids),
+            max_size=len(ids),
+            unique=True,
+        )))
+    mapped = dict(zip(ids, new_ids))
+    # Ground sorts before every id; the 0 past the end keeps the lookup
+    # non-empty for a scene of ground only.
+    lookup = np.array([*new_ids, 0], dtype=np.int64)
+    where = np.searchsorted(np.array(ids, dtype=np.int64), raster.labels)
+    labels = np.where(raster.labels > 0, lookup[where], 0)
+    base = build_bundle(raster, max_ray=max_ray)
+    relabelled = build_bundle(LabeledRaster.from_array(labels), max_ray=max_ray)
+    assert _sorted_rows(relabelled.store) == sorted(
+        (mapped[origin], mapped[target], *rest) for origin, target, *rest in _sorted_rows(base.store)
+    )
+    assert list(relabelled.hierarchy.nodes()) == [
+        replace(node, members=frozenset(map(mapped.get, node.members)))
+        for node in base.hierarchy.nodes()
+    ]
+    assert _termination(relabelled) == _termination(base)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_upscaled_ring_ranks_first(k):
+    # Each pixel of the ring scenes of the benchmark's rings workload
+    # becomes a k x k block; with the defaults of ``crownmerge run``
+    # (p = 0.25, groups of at least 7 segments, mean score) the planted
+    # ring stays rank 1 under both streams.
+    for seed in range(20):
+        scene = generate_ring(seed, outliers=4, size=192)
+        labels = np.kron(scene.raster.labels, np.ones((k, k), dtype=np.int64))
+        bundle = build_bundle(LabeledRaster.from_array(labels))
+        for choice, (_, _, trimmed) in zip(STREAMS, _termination(bundle)):
+            terminals = filter_terminals(trimmed, bundle.hierarchy, 7)
+            ranked = rank_candidates(bundle.hierarchy, by_id(bundle.isols), terminals)
+            assert ranked, (seed, choice)
+            top = bundle.hierarchy.node(ranked[0].node_id).members
+            assert top == scene.truth_groups[0], (seed, choice)
