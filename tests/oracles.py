@@ -11,10 +11,16 @@ and ranked groups scored from their members' pixel tuples.  Nothing is
 shared with the optimized code paths beyond the public types and, where
 an oracle takes a store, its ``pairs`` and ``links_between`` rows.
 ``link_table`` builds hand-made ray tables from rows that name their
-direction.
+direction.  ``reference_artifacts`` chains the oracles into every file a
+run writes, with stdlib writers only.
 """
 
 from __future__ import annotations
+
+import csv
+import io
+import json
+from itertools import count
 
 import numpy as np
 
@@ -22,9 +28,11 @@ from crownmerge import (
     DIRECTIONS,
     DispersionStats,
     Hierarchy,
+    HierarchyNode,
     Isol,
     LabeledRaster,
     LinkStore,
+    NodeParams,
     RankedCandidate,
 )
 
@@ -249,13 +257,19 @@ def merge_sequence_of(hierarchy: Hierarchy):
 
 def strict_record_breakpoints(raw_values) -> set[int]:
     """{j >= 1 | D_j > max_{k<j} D_k} with everything spelled out."""
+    return _path_analysis(raw_values)[2]
+
+
+def _path_analysis(raw_values) -> tuple[list, list, set[int]]:
+    """The scaled values f, their differences D and the strict record
+    positions of ``raw_values``."""
     lo, hi = min(raw_values), max(raw_values)
     if hi == lo:
         f = [0.0] * len(raw_values)
     else:
         f = [(v - lo) / (hi - lo) for v in raw_values]
     d = [f[j + 1] - f[j] for j in range(len(f) - 1)]
-    return {j for j in range(1, len(d)) if d[j] > max(d[:j])}
+    return f, d, {j for j in range(1, len(d)) if d[j] > max(d[:j])}
 
 
 #: Each named parameter stream read straight off a merge node's params.
@@ -300,3 +314,193 @@ def brute_force_a_cumulative(hierarchy: Hierarchy, store: LinkStore, node_id: in
         )
         pixels |= union
     return len(pixels)
+
+
+def stream_value(choice: str, p: NodeParams) -> float:
+    """A merge node's value in a named stream or a ``ratio:<numer>/<denom>``
+    one (0 wherever the denominator is 0)."""
+    if choice in STREAM_VALUES:
+        return STREAM_VALUES[choice](p)
+    numer, denom = choice[len("ratio:") :].split("/")
+    bottom = float(getattr(p, denom))
+    return float(getattr(p, numer)) / bottom if bottom else 0.0
+
+
+def reference_hierarchy(isols, store: LinkStore) -> Hierarchy:
+    """``brute_force_merge_sequence`` as a forest: singletons 0..n-1 by
+    ascending id, then one node per merge in order, its ancestors by node
+    id.  Only the fields ``hierarchy.json`` holds are set."""
+    ids = sorted(isol.id for isol in isols)
+    nodes = [HierarchyNode(id=i, members=frozenset({isol_id})) for i, isol_id in enumerate(ids)]
+    node_of = {node.members: node.id for node in nodes}
+    for iteration, (a, b, distance) in enumerate(brute_force_merge_sequence(isols, store), 1):
+        left, right = sorted((node_of[a], node_of[b]))
+        merged = HierarchyNode(
+            id=len(nodes),
+            members=a | b,
+            ancestors=(left, right),
+            merge_iteration=iteration,
+            merge_distance=distance,
+        )
+        nodes[left].successor = nodes[right].successor = merged.id
+        node_of[merged.members] = merged.id
+        nodes.append(merged)
+    return Hierarchy(nodes, {isol_id: i for i, isol_id in enumerate(ids)})
+
+
+def reference_params(hierarchy: Hierarchy, isols, store: LinkStore) -> dict[int, NodeParams]:
+    """Every node's params: member sizes summed, link quantities rescanned."""
+    out = {}
+    for node in hierarchy.nodes():
+        sizes = dict(
+            n_pix=sum(len(isols[m].pixels) for m in node.members),
+            n_edge=sum(len(isols[m].edge_pixels) for m in node.members),
+        )
+        if node.is_singleton:
+            out[node.id] = NodeParams(**sizes)
+            continue
+        a_merge, links, total = brute_force_merge_params(hierarchy, store, node.id)
+        l_hat = total / links
+        out[node.id] = NodeParams(
+            **sizes,
+            a_merge=a_merge,
+            l_hat=l_hat,
+            lw_ratio=l_hat * l_hat / a_merge if a_merge else 0.0,
+            a_cumulative=brute_force_a_cumulative(hierarchy, store, node.id),
+        )
+    return out
+
+
+def _csv(header, rows) -> bytes:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode()
+
+
+def _json(payload) -> bytes:
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+def reference_artifacts(raster, config) -> dict[str, bytes]:
+    """Every file a ``run_pipeline(config)`` on ``raster`` writes, as
+    ``{path relative to the output directory: bytes}``.
+
+    Built from the oracles above and stdlib writers only.  Each singleton's
+    path is scaled and differenced by ``_path_analysis``; every break is
+    charged to the node it lands on.  The threshold is the smallest v with
+    at most a fraction p of merge nodes counting more than v breaks; a node
+    above it is dropped with every node it merges into, and the terminals
+    are the kept nodes whose successor is dropped or absent.
+    """
+    isols = brute_force_isols(raster)
+    by_id = {isol.id: isol for isol in isols}
+    walked = walk_links(raster, isols, config.max_ray)
+    store = LinkStore(
+        np.array([row for links in walked.values() for row, _ in links], dtype=np.int64).reshape(-1, 6)
+    )
+    hierarchy = reference_hierarchy(isols, store)
+    params = reference_params(hierarchy, by_id, store)
+    merge_ids = hierarchy.merge_node_ids()
+    values = {h: stream_value(config.parameter, params[h]) for h in merge_ids}
+
+    files = {}
+    breaks = {node.id: 0 for node in hierarchy.nodes()}
+    for start in hierarchy.singleton_node_ids():
+        path = hierarchy.path_from(start)
+        f, d, records = _path_analysis([0.0] + [values[h] for h in path[1:]])
+        for j in records:
+            breaks[path[j + 1]] += 1
+        (isol_id,) = hierarchy.node(start).members
+        files[f"traces/{isol_id}.csv"] = _csv(
+            ["j", "node_id", "f", "D", "Cmax", "is_break"],
+            ([j, path[j + 1], f[j + 1], d[j], max(d[: j + 1]), int(j in records)] for j in range(len(d))),
+        )
+    p = config.significance_p
+    significance = next(
+        v for v in count() if not merge_ids or sum(breaks[h] > v for h in merge_ids) / len(merge_ids) <= p
+    )
+    removed = set()
+    for node in hierarchy.nodes():
+        if breaks[node.id] > significance:
+            removed.update(hierarchy.path_from(node.id))
+    terminals = [
+        node.id
+        for node in hierarchy.nodes()
+        if node.id not in removed
+        and (node.successor is None or node.successor in removed)
+        and len(node.members) >= config.min_group_size
+    ]
+    candidates = rank_groups(hierarchy, by_id, terminals, config.score_key)
+
+    files["report.json"] = _json({
+        "schema": 1,
+        "parameter": config.parameter,
+        "significance_p": p,
+        "f_significance": significance,
+        "min_group_size": config.min_group_size,
+        "score_key": config.score_key,
+        "isol_count": len(isols),
+        "candidates": [
+            {
+                "rank": rank,
+                "node_id": c.node_id,
+                "merge_iteration": hierarchy.node(c.node_id).merge_iteration,
+                "member_count": len(hierarchy.node(c.node_id).members),
+                "pixel_count": c.stats.pixel_count,
+                "members": sorted(hierarchy.node(c.node_id).members),
+                "centroid": list(c.stats.centroid),
+                "mad": c.stats.mean_abs_dev,
+                "max_ad": c.stats.max_abs_dev,
+                "score": c.stats.score,
+                "sum_over_max": c.stats.sum_over_max,
+            }
+            for rank, c in enumerate(candidates, start=1)
+        ],
+    })
+    files["hierarchy.json"] = _json({
+        "schema": 1,
+        "nodes": [
+            {
+                "id": node.id,
+                "members": sorted(node.members),
+                "ancestors": list(node.ancestors),
+                "successor": node.successor,
+                "merge_iteration": node.merge_iteration,
+                "merge_distance": node.merge_distance,
+            }
+            for node in hierarchy.nodes()
+        ],
+    })
+    fields = ("a_merge", "l_hat", "lw_ratio", "n_pix", "n_edge", "a_cumulative")
+    files["params.csv"] = _csv(
+        ["node_id", "merge_iteration", *fields],
+        (
+            [node.id, node.merge_iteration, *(getattr(params[node.id], name) for name in fields)]
+            for node in hierarchy.nodes()
+        ),
+    )
+    tally: dict[int, int] = {}
+    for h in merge_ids:
+        tally[breaks[h]] = tally.get(breaks[h], 0) + 1
+    files["histogram.csv"] = _csv(["count_value", "num_nodes"], sorted(tally.items()))
+    groups = [
+        (rank, sorted(hierarchy.node(c.node_id).members)) for rank, c in enumerate(candidates, start=1)
+    ]
+    painted = paint_clusters(raster, groups, by_id).labels.tolist()
+    maxval = max(1, *(max(row) for row in painted))
+    files["clusters.pgm"] = (
+        f"P2\n{raster.width} {raster.height}\n{maxval}\n" + format_rows(painted)
+    ).encode()
+    if config.dump_links:
+        names = [name for name, _, _ in DIRECTIONS]
+        files["links.csv"] = _csv(
+            ["origin_isol", "target_isol", "direction", "origin_x", "origin_y", "length"],
+            (
+                [origin, target, names[d], x, y, length]
+                for pair in sorted(walked)
+                for (origin, target, d, x, y, length), _ in walked[pair]
+            ),
+        )
+    return files
