@@ -6,19 +6,10 @@ distance is the size of the union of all link-pixel sets between their
 members, so it is not additive.  Each group keeps a map from every linked
 neighbour to their pair's ``(pixel union, link count, length sum)``; a
 merge folds the smaller map into the larger one, uniting the two entries
-of a neighbour both sides share.  Each union is a bit mask over the
-scene's footprint pixels ranked in row-major order, held as ``(bits, low,
-count)``: a Python int whose bit ``i`` stands for rank ``low + i``, its
-lowest rank and its popcount.  The mask format and its union (one shift,
-one OR and one popcount) belong to ``links``, and only the popcounts
-leave ``agglomerate``.  A min-heap of pairs, keyed by distance and then
-by the two groups' minimum segment ids, picks each merge; items of
-retired groups are skipped when popped (lazy invalidation).  No two
-active groups share a minimum segment id, so that key totally orders the
-live pairs and the heap merges in the same order as scanning every pair
-for the smallest key.  The linkage is reducible, because U(A+B, C) =
-U(A, C) | U(B, C) is at least as large as either part, so the merge
-heights never decrease along the merge order.
+of a neighbour both sides share.  Each union is a ``links`` bit mask, and
+a min-heap of pairs picks each merge (see ``agglomerate``).  The linkage
+is reducible, because U(A+B, C) = U(A, C) | U(B, C) is at least as large
+as either part, so the merge heights never decrease along the merge order.
 
 Each merge node also records the link quantities its parameters are read
 from: the link count and summed link length across the merged pair, and
@@ -34,8 +25,10 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .links import _EMPTY, LinkStore, Mask, _unite
-from .raster_io import Isol, PixelCoord
+from .raster_io import Isol
 
 
 @dataclass
@@ -137,14 +130,12 @@ class Hierarchy:
         return seen
 
 
-def group_pixels(
-    hierarchy: Hierarchy, isols: Mapping[int, Isol], node_id: int
-) -> frozenset[PixelCoord]:
-    """All raster pixels of the segments a node represents."""
-    pixels: set[PixelCoord] = set()
-    for isol_id in hierarchy.node(node_id).members:
-        pixels |= isols[isol_id].pixels
-    return frozenset(pixels)
+def group_pixels(hierarchy: Hierarchy, isols: Mapping[int, Isol], node_id: int) -> np.ndarray:
+    """All raster pixels of the segments a node represents: one new ``(n,
+    2)`` int64 array of distinct ``(x, y)`` rows, ascending by ``(x, y)``."""
+    pixels = np.concatenate([isols[isol_id].pixels for isol_id in hierarchy.node(node_id).members])
+    pixels = pixels[np.lexsort((pixels[:, 1], pixels[:, 0]))]
+    return pixels[np.append(True, (pixels[1:] != pixels[:-1]).any(axis=1))]
 
 
 # ---------------------------------------------------------------------------

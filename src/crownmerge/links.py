@@ -16,21 +16,16 @@ segments is the number of distinct interstitial pixels covered by all
 their links together, so overlapping rays are only counted once.  Segment
 pairs with no links are infinitely far apart.  Every such pixel union is
 held once, as a bit mask (``Mask``, united by ``_unite``) in one table per
-store (``LinkStore._masks``) built on first use from one vectorised pass
-over the ray table: one sort of every link pixel, keyed pixel-major by
-pixel then pair, ranks the pixels and lists each pair's bits, and every
-mask is read from one packed byte buffer.  ``agglomerate`` and the
-distances read the masks' counts and unions; only ``pair_union`` decodes
-a mask into pixels.  ``dump_links_csv`` writes the ray table as
-links.csv through ``raster_io._format_rows`` with a comma separator: the
-one decimal-text writer, which also writes the text grids and PGM bodies.
+store (``LinkStore._masks``, built on first use); ``agglomerate`` and the
+distances read the masks' counts and unions, and only ``pair_union``
+decodes a mask into pixels.  ``dump_links_csv`` writes the ray table as
+links.csv.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain, islice
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -305,34 +300,20 @@ def cast_rays(
     only if it lies on the same line, and its distance follows from the
     positions.  Only rays that reach another segment within ``max_ray``
     become ray-table rows, in the order of the segments as given, their
-    sorted edge pixels, then ``DIRECTIONS``, so the link order is that of
-    a pixel-by-pixel walk.
+    edge pixels (held ascending by ``(x, y)``), then ``DIRECTIONS``, so
+    the link order is that of a pixel-by-pixel walk.
     """
     if max_ray is not None and max_ray < 0:
         raise ValueError(f"max_ray must be >= 0, got {max_ray}")
     width, height = raster.width, raster.height
-    edges = [sorted(isol.edge_pixels) for isol in isols]
-    counts = [len(edge) for edge in edges]
+    counts = [len(isol.edge_pixels) for isol in isols]
     if not sum(counts):
         return LinkStore(np.empty((0, len(_COLUMNS)), dtype=np.int64))
 
-    top = np.iinfo(np.int64).max
-    pixels = chain.from_iterable(chain.from_iterable(edges))
-    try:
-        coords = np.fromiter(pixels, dtype=np.int64, count=2 * sum(counts))
-    except OverflowError:
-        # A coordinate past int64 is off the raster, as -1 is: the check
-        # below then reports the first stray origin, whatever its kind.
-        pixels = chain.from_iterable(chain.from_iterable(edges))
-        coords = np.fromiter(
-            (v if -1 <= v <= top else -1 for v in pixels),
-            dtype=np.int64,
-            count=2 * sum(counts),
-        )
-    ox, oy = coords[0::2], coords[1::2]
+    ox, oy = np.concatenate([isol.edge_pixels for isol in isols]).T
     # An id past int64 is no pixel's label, as 0 is: the check below then
     # reports that isol's first edge pixel, under the isol's own id.
-    ids = [isol.id if -top - 1 <= isol.id <= top else 0 for isol in isols]
+    ids = [isol.id if -(2**63) <= isol.id < 2**63 else 0 for isol in isols]
     own = np.repeat(np.array(ids, dtype=np.int64), counts)
     flat = raster.labels.ravel()
     nonzero = np.flatnonzero(flat)
@@ -347,10 +328,9 @@ def cast_rays(
     placed &= np.append(labelled, 0)[at] == own
     if not placed.all():
         i = int(np.argmin(placed))
-        origins = ((isol.id, pixel) for isol, edge in zip(isols, edges) for pixel in edge)
-        isol_id, (x, y) = next(islice(origins, i, None))
+        isol_id = isols[int(np.searchsorted(np.cumsum(counts), i, side="right"))].id
         raise ValueError(
-            f"isol {isol_id} edge pixel ({x}, {y}) is not a pixel "
+            f"isol {isol_id} edge pixel ({ox[i]}, {oy[i]}) is not a pixel "
             f"labelled {isol_id} in the {width}x{height} raster"
         )
 

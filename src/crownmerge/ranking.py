@@ -34,17 +34,20 @@ class DispersionStats:
         return self.sum_abs_dev / self.max_abs_dev if self.max_abs_dev > 0 else 0.0
 
 
-def score_cluster(pixels: Iterable[tuple[float, float]]) -> DispersionStats:
+def score_cluster(pixels: np.ndarray | Iterable[tuple[float, float]]) -> DispersionStats:
     """Dispersion summary of a point set.
 
-    Accepts any finite collection of (x, y) points, integer or real.
+    Accepts an ``(n, 2)`` array of (x, y) rows or any finite collection of
+    (x, y) points, integer or real, and sums them in ascending ``(x, y)``
+    order, whatever order they come in.
 
     Raises:
         ValueError: the collection is empty.
     """
-    pts = np.asarray(sorted(pixels), dtype=float)
+    pts = np.asarray(pixels if isinstance(pixels, np.ndarray) else list(pixels), dtype=float)
     if pts.size == 0:
         raise ValueError("cannot score an empty pixel set")
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     centroid = pts.mean(axis=0)
     devs = np.hypot(pts[:, 0] - centroid[0], pts[:, 1] - centroid[1])
     sum_dev = float(devs.sum())

@@ -12,7 +12,6 @@ import codecs
 import numbers
 import re
 from dataclasses import dataclass
-from itertools import compress
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -136,17 +135,45 @@ def _grid_shape(arr: np.ndarray) -> tuple[int, int]:
     return arr.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Isol:
     """One segment: its label, every pixel, and the boundary subset.
 
     Edge pixels are those with at least one 4-neighbour that is outside
-    the segment (different label, 0, or off the raster).
+    the segment (different label, 0, or off the raster).  Both are
+    read-only ``(n, 2)`` int64 arrays of distinct ``(x, y)`` rows, ascending
+    by ``(x, y)``, made anew from any collection of pairs given; a
+    coordinate past int64 raises a ``ValueError`` naming the isol and pixel.
     """
 
     id: int
-    pixels: frozenset[PixelCoord]
-    edge_pixels: frozenset[PixelCoord]
+    pixels: np.ndarray
+    edge_pixels: np.ndarray
+
+    def __post_init__(self):
+        for name in ("pixels", "edge_pixels"):
+            given = getattr(self, name)
+            rows = sorted(set(map(tuple, given.tolist() if isinstance(given, np.ndarray) else given)))
+            try:
+                array = np.array(rows, dtype=np.int64).reshape(len(rows), 2)
+            except OverflowError:
+                x, y = next(p for p in rows if not all(-_MAX_LABEL - 1 <= v <= _MAX_LABEL for v in p))
+                raise ValueError(f"isol {self.id} pixel ({x}, {y}) has a coordinate past int64") from None
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @classmethod
+    def _adopt(cls, isol_id: int, pixels: np.ndarray, edge_pixels: np.ndarray) -> "Isol":
+        """An isol over arrays already in its form, held as they are."""
+        isol = object.__new__(cls)
+        isol.__dict__.update(id=isol_id, pixels=pixels, edge_pixels=edge_pixels)
+        return isol
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Isol) and self.id == other.id and all(
+            np.array_equal(a, b)
+            for a, b in ((self.pixels, other.pixels), (self.edge_pixels, other.edge_pixels))
+        )
 
 
 def by_id(isols: Iterable[Isol]) -> dict[int, Isol]:
@@ -531,47 +558,43 @@ def _pgm_int(tok: bytes, row: int | None = None, col: int | None = None) -> int:
 
 
 def extract_isols(raster: LabeledRaster) -> list[Isol]:
-    """Collect every positive label as a segment with its edge-pixel set.
+    """Collect every positive label as a segment with its edge pixels.
 
     Returns segments sorted by id.  An all-zero raster yields an empty list.
 
-    One sorted pass: the flat indices of all labelled pixels are stably
-    sorted by label and cut into one run per label where the sorted label
-    changes.  The stable sort keeps row-major order inside each run, so
-    every frozenset is built by inserting its pixels in row-major order.
+    One sorted pass: every labelled pixel is sorted by ``(label, x, y)``
+    with one ``np.lexsort``, into one read-only ``(n, 2)`` array of ``(x,
+    y)`` rows, and its edge pixels are taken from it into a second one.
+    Each segment's ``pixels`` and ``edge_pixels`` are the slices of its
+    label's run in the two, so no pixel becomes a Python object.
     """
     labels = raster.labels
     # A pixel is an edge pixel if any 4-neighbour has a different label;
     # the raster border counts as outside.
-    differs = np.zeros(labels.shape, dtype=bool)
-    differs[0, :] = True
-    differs[-1, :] = True
-    differs[:, 0] = True
-    differs[:, -1] = True
+    differs = np.ones(labels.shape, dtype=bool)
+    differs[1:-1, 1:-1] = False
     differs[1:, :] |= labels[1:, :] != labels[:-1, :]
     differs[:-1, :] |= labels[:-1, :] != labels[1:, :]
     differs[:, 1:] |= labels[:, 1:] != labels[:, :-1]
     differs[:, :-1] |= labels[:, :-1] != labels[:, 1:]
 
     flat = labels.ravel()
-    nonzero = np.flatnonzero(flat)
-    order = np.argsort(flat[nonzero], kind="stable")
-    index = nonzero[order]
-    sorted_labels = flat[index]
-    first = np.ones(index.size, dtype=bool)
-    first[1:] = sorted_labels[1:] != sorted_labels[:-1]
-    ids, starts = sorted_labels[first], np.flatnonzero(first)
+    index = np.flatnonzero(flat)
     ys, xs = np.divmod(index, raster.width)
-    points = list(zip(xs.tolist(), ys.tolist()))
-    is_edge = differs.ravel()[index].tolist()
-    bounds = [*starts.tolist(), len(points)]
-
-    out: list[Isol] = []
-    for i, isol_id in enumerate(ids.tolist()):
-        run = points[bounds[i] : bounds[i + 1]]
-        edges = compress(run, is_edge[bounds[i] : bounds[i + 1]])
-        out.append(Isol(id=isol_id, pixels=frozenset(run), edge_pixels=frozenset(edges)))
-    return out
+    index = index[np.lexsort((ys, xs, flat[index]))]
+    del ys, xs
+    sorted_labels = flat[index]
+    pixels = np.empty((index.size, 2), dtype=np.int64)
+    np.divmod(index, raster.width, out=(pixels[:, 1], pixels[:, 0]))
+    is_edge = differs.ravel()[index]
+    edges = pixels[is_edge]
+    pixels.setflags(write=False)
+    edges.setflags(write=False)
+    # A label's run, and its run of edge pixels, ends where the label changes.
+    cuts = np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1
+    ids = sorted_labels[np.append(0, cuts)].tolist() if index.size else []
+    edge_cuts = np.cumsum(is_edge)[cuts - 1]
+    return list(map(Isol._adopt, ids, np.split(pixels, cuts), np.split(edges, edge_cuts)))
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +636,7 @@ def write_cluster_raster(
             isol = isols.get(isol_id)
             if isol is None:
                 raise ValueError(f"unknown isol id {isol_id}")
-            for x, y in isol.pixels:
-                out[y, x] = group_id
+            out[isol.pixels[:, 1], isol.pixels[:, 0]] = group_id
     return LabeledRaster._adopt(out)
 
 

@@ -47,12 +47,18 @@ def format_rows(rows) -> str:
     return "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
 
+def pixel_set(pixels) -> set[tuple[int, int]]:
+    """An isol's ``(n, 2)`` pixel array as a set of ``(x, y)`` int tuples:
+    how every oracle reads an isol's pixels."""
+    return set(map(tuple, pixels.tolist()))
+
+
 def brute_force_isols(raster) -> list[Isol]:
     """Segments by one full-raster mask per positive label, ascending.
 
     A pixel is an edge pixel if one of its four neighbours is off the
-    raster or carries another label, checked one pixel at a time.  Pixels
-    are inserted in row-major order, as the package does.
+    raster or carries another label, checked one pixel at a time.  Each
+    segment is built from frozensets of pixel tuples.
     """
     rows = raster.labels.tolist()
 
@@ -93,7 +99,7 @@ def paint_clusters(raster, groups, isols) -> LabeledRaster:
             isol = isols.get(isol_id)
             if isol is None:
                 raise ValueError(f"unknown isol id {isol_id}")
-            for x, y in isol.pixels:
+            for x, y in pixel_set(isol.pixels):
                 out[y, x] = group_id
     return LabeledRaster(width=raster.width, height=raster.height, labels=out)
 
@@ -109,7 +115,7 @@ def rank_groups(hierarchy: Hierarchy, isols, terminals, key: str) -> list[Ranked
     for node_id in sorted(terminals):
         pixels: set = set()
         for isol_id in hierarchy.node(node_id).members:
-            pixels |= isols[isol_id].pixels
+            pixels |= pixel_set(isols[isol_id].pixels)
         pts = np.asarray(sorted(pixels), dtype=float)
         centroid = pts.mean(axis=0)
         devs = np.hypot(pts[:, 0] - centroid[0], pts[:, 1] - centroid[1])
@@ -161,7 +167,7 @@ def walk_links(raster, isols, max_ray: int | None = None) -> dict[tuple[int, int
 
     for isol in isols:
         own = isol.id
-        for px, py in sorted(isol.edge_pixels):
+        for px, py in sorted(pixel_set(isol.edge_pixels)):
             for d, (_, dx, dy) in enumerate(DIRECTIONS):
                 x, y = px + dx, py + dy
                 path: list = []

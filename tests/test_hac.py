@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -163,8 +164,11 @@ def test_agglomerate_rejects_repeated_isol_ids():
 def test_group_pixels_unions_members(quad):
     isols = by_id(quad.isols)
     pixels = group_pixels(quad.hierarchy, isols, 4)
-    assert pixels == isols[1].pixels | isols[4].pixels
-    assert group_pixels(quad.hierarchy, isols, 0) == isols[1].pixels
+    assert pixels.dtype == np.int64 and pixels.shape == (8, 2)
+    # One array of both members' pixels, ascending by (x, y).
+    want = sorted(map(tuple, [*isols[1].pixels.tolist(), *isols[4].pixels.tolist()]))
+    assert list(map(tuple, pixels.tolist())) == want
+    assert np.array_equal(group_pixels(quad.hierarchy, isols, 0), isols[1].pixels)
 
 
 def test_hierarchy_records_shape(quad):

@@ -26,7 +26,7 @@ from crownmerge import (
 )
 
 from conftest import QUAD_GRID, label_rasters, mosaic_rasters, synth_rasters
-from oracles import brute_force_isols, rank_groups
+from oracles import brute_force_isols, pixel_set, rank_groups
 
 
 def test_single_pixel_scores_zero():
@@ -103,7 +103,7 @@ def test_rank_candidates_orders_by_compactness(quad):
 
     for candidate in ranked:
         members = quad.hierarchy.node(candidate.node_id).members
-        pixels = sorted(p for m in members for p in isols[m].pixels)
+        pixels = sorted(p for m in members for p in pixel_set(isols[m].pixels))
         mean_score, sum_score = reference_stats(pixels)
         assert candidate.stats.score == pytest.approx(mean_score)
         assert candidate.stats.sum_over_max == pytest.approx(sum_score)

@@ -20,6 +20,7 @@ from crownmerge import raster_io
 from crownmerge import (
     FORMAT_PGM,
     FORMAT_TEXT_GRID,
+    Isol,
     LabeledRaster,
     RasterFormatError,
     by_id,
@@ -32,7 +33,7 @@ from crownmerge import (
 )
 
 from conftest import LABEL_VALUES, QUAD_GRID, label_rasters, mosaic_rasters, synth_rasters
-from oracles import brute_force_isols, format_rows, parse_text_rows
+from oracles import brute_force_isols, format_rows, parse_text_rows, pixel_set
 
 
 def parse(text: str, fmt: str = FORMAT_TEXT_GRID) -> LabeledRaster:
@@ -590,30 +591,30 @@ def test_extract_quad_scene_segments():
     isols = extract_isols(LabeledRaster.from_array(QUAD_GRID))
     assert [i.id for i in isols] == [1, 2, 3, 4]
     segment = by_id(isols)[1]
-    assert segment.pixels == {(1, 1), (2, 1), (1, 2), (2, 2)}
+    assert segment.pixels.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
     # 2x2 blocks have no interior: every pixel touches the outside.
-    assert segment.edge_pixels == segment.pixels
+    assert np.array_equal(segment.edge_pixels, segment.pixels)
 
 
 def test_extract_interior_pixel_is_not_edge():
     grid = np.zeros((5, 5), dtype=int)
     grid[1:4, 1:4] = 9
     (isol,) = extract_isols(LabeledRaster.from_array(grid))
-    assert (2, 2) not in isol.edge_pixels
+    assert (2, 2) not in pixel_set(isol.edge_pixels)
     assert len(isol.edge_pixels) == 8
-    assert isol.edge_pixels < isol.pixels
+    assert pixel_set(isol.edge_pixels) < pixel_set(isol.pixels)
 
 
 def test_extract_border_counts_as_outside():
     # A blob flush against the raster edge is all edge pixels.
     (isol,) = extract_isols(LabeledRaster.from_array([[5, 5], [5, 5]]))
-    assert isol.edge_pixels == isol.pixels
+    assert np.array_equal(isol.edge_pixels, isol.pixels)
 
 
 def test_extract_same_label_disconnected_patches_is_one_segment():
     grid = [[3, 0, 0, 3]]
     (isol,) = extract_isols(LabeledRaster.from_array(grid))
-    assert isol.pixels == {(0, 0), (3, 0)}
+    assert isol.pixels.tolist() == [[0, 0], [3, 0]]
 
 
 def test_extract_all_zero_raster_is_empty():
@@ -629,8 +630,8 @@ def test_extract_relabeling_permutes_output():
     for old_id, new_id in swap.items():
         if old_id == 0:
             continue
-        assert original[old_id].pixels == permuted[new_id].pixels
-        assert original[old_id].edge_pixels == permuted[new_id].edge_pixels
+        assert np.array_equal(original[old_id].pixels, permuted[new_id].pixels)
+        assert np.array_equal(original[old_id].edge_pixels, permuted[new_id].edge_pixels)
 
 
 @settings(max_examples=200, deadline=None)
@@ -644,9 +645,57 @@ def test_extract_matches_mask_oracle(raster):
     assert got == want
     for isol, ref in zip(got, want):
         assert type(isol.id) is int
-        # The same row-major insertion order, so the sets iterate alike.
-        assert list(isol.pixels) == list(ref.pixels)
-        assert list(isol.edge_pixels) == list(ref.edge_pixels)
+        # Read-only int64 arrays of distinct rows, ascending by (x, y).
+        for array in (isol.pixels, isol.edge_pixels):
+            assert array.dtype == np.int64 and not array.flags.writeable
+            assert list(map(tuple, array.tolist())) == sorted(pixel_set(array))
+
+
+def test_isol_takes_any_collection_of_pairs():
+    pairs = [(2, 0), (0, 1), (0, 0), (1, 5)]
+    caller = np.array(pairs, dtype=np.int64)
+    made = [
+        Isol(3, frozenset(pairs), frozenset(pairs[:2])),
+        Isol(3, pairs + pairs[::-1], pairs[:2]),  # repeats are dropped
+        Isol(3, caller, caller[:2]),
+    ]
+    assert made[0] == made[1] == made[2]
+    for isol in made:
+        for array, want in ((isol.pixels, sorted(pairs)), (isol.edge_pixels, sorted(pairs[:2]))):
+            assert array.dtype == np.int64 and array.shape == (len(want), 2)
+            assert not array.flags.writeable
+            assert list(map(tuple, array.tolist())) == want
+    # The caller's array is copied: neither frozen nor aliased.
+    assert caller.flags.writeable
+    assert not np.shares_memory(made[2].pixels, caller)
+    assert not np.shares_memory(made[2].edge_pixels, caller)
+    caller[0] = (9, 9)
+    assert made[2] == made[0]
+    assert Isol(3, pairs[:3], pairs[:2]) != made[0]
+    assert Isol(4, pairs, pairs[:2]) != made[0]
+    empty = Isol(5, frozenset(), [])
+    assert empty.pixels.shape == empty.edge_pixels.shape == (0, 2)
+    assert empty.pixels.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "pairs, stray",
+    [
+        ([(2**63, 0)], (2**63, 0)),
+        ([(2, 0), (0, -(2**63) - 1)], (0, -(2**63) - 1)),
+        ([(5, 0), (2**64, 0)], (2**64, 0)),
+    ],
+    ids=["x-past-max", "y-below-min", "beside-a-stray-pixel"],
+)
+def test_isol_rejects_coordinates_past_int64(pairs, stray):
+    # Raised when the isol is built, from pixels or edge pixels, whatever
+    # collection holds them.
+    message = f"isol 2 pixel \\({stray[0]}, {stray[1]}\\) has a coordinate past int64"
+    for collection in (frozenset, list, lambda p: np.array(p, dtype=object)):
+        with pytest.raises(ValueError, match=message):
+            Isol(2, collection(pairs), frozenset())
+        with pytest.raises(ValueError, match=message):
+            Isol(2, frozenset(), collection(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from crownmerge import (
     DIRECTIONS,
+    SCORE_KEYS,
     LabeledRaster,
     LinkStore,
     by_id,
@@ -60,16 +61,21 @@ def _transform(labels: np.ndarray, symmetry) -> np.ndarray:
 
 
 #: The streams whose break counts, ``f_significance`` and trim are compared.
-STREAMS = ("a_merge", "lw_over_acum")
+#: ``n_pix`` and ``n_edge`` sum the regions' pixel and edge-pixel counts.
+STREAMS = ("a_merge", "lw_over_acum", "n_pix", "n_edge", "a_cumulative", "ratio:l_hat/a_merge")
 
 
-def _termination(bundle) -> list[tuple]:
-    """Per stream in ``STREAMS``: the break counts per node id, the
+#: The two streams the planted ring is known to rank first under.
+RING_STREAMS = ("a_merge", "lw_over_acum")
+
+
+def _termination(bundle, streams=STREAMS) -> list[tuple]:
+    """Per stream in ``streams``: the break counts per node id, the
     significance threshold (``f_significance``) and the ``trim`` result."""
     hierarchy = bundle.hierarchy
     node_params = compute_params(hierarchy, by_id(bundle.isols))
     out = []
-    for choice in STREAMS:
+    for choice in streams:
         stream = parameter_stream(hierarchy, node_params, choice)
         breaks = count_breaks(hierarchy, trace_all(hierarchy, stream))
         out.append((breaks.counts, breaks.significance, trim(hierarchy, breaks)))
@@ -135,6 +141,73 @@ def test_symmetries_and_padding_keep_the_ray_table_and_forest(raster, max_ray, p
     assert _termination(padded) == termination
 
 
+#: How far a ranking stat may move under a symmetry: the pixels are summed
+#: in sorted ``(x, y)`` order, which a symmetry changes, so only rounding.
+TOLERANCE = 1e-9
+
+
+def _moved_point(x: float, y: float, shape: tuple[int, int], symmetry) -> tuple[float, float]:
+    """Where the symmetry takes the point ``(x, y)`` of a scene of ``shape``."""
+    transpose, flip_x, flip_y = symmetry
+    height, width = shape[::-1] if transpose else shape
+    if transpose:
+        x, y = y, x
+    if flip_x:
+        x = width - 1 - x
+    if flip_y:
+        y = height - 1 - y
+    return x, y
+
+
+def _ranked(bundle, min_size: int, key: str):
+    """The candidates a run ranks under ``a_merge`` at p = 0.25."""
+    ((_, _, trimmed),) = _termination(bundle, ("a_merge",))
+    terminals = filter_terminals(trimmed, bundle.hierarchy, min_size)
+    return rank_candidates(bundle.hierarchy, by_id(bundle.isols), terminals, key)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    label_rasters() | synth_rasters | mosaic_rasters,
+    max_rays,
+    st.integers(1, 3),
+    st.sampled_from(SCORE_KEYS),
+)
+@example(LabeledRaster.from_array(QUAD_GRID), None, 1, "mean")
+@example(mosaic(0, n_cells=40, size=48, valley=1), 2, 1, "sum")
+def test_symmetries_keep_the_ranking_stats_to_rounding(raster, max_ray, min_size, key):
+    # The same nodes are ranked, each with the same pixel count and, up to
+    # rounding, the same stats and its centroid moved with the scene.
+    # Two candidates keep their order wherever their values differ by
+    # more than the tolerance.
+    base = _ranked(build_bundle(raster, max_ray=max_ray), min_size, key)
+    value = (lambda c: c.stats.score) if key == "mean" else (lambda c: c.stats.sum_over_max)
+    for symmetry in SYMMETRIES:
+        moved = _ranked(
+            build_bundle(
+                LabeledRaster.from_array(_transform(raster.labels, symmetry)), max_ray=max_ray
+            ),
+            min_size,
+            key,
+        )
+        assert sorted(c.node_id for c in moved) == sorted(c.node_id for c in base), symmetry
+        stats = {c.node_id: c.stats for c in moved}
+        for c in base:
+            got = stats[c.node_id]
+            assert got.pixel_count == c.stats.pixel_count
+            want = _moved_point(*c.stats.centroid, raster.labels.shape, symmetry)
+            assert got.centroid == pytest.approx(want, rel=TOLERANCE, abs=TOLERANCE)
+            for name in ("sum_abs_dev", "mean_abs_dev", "max_abs_dev", "score", "sum_over_max"):
+                assert getattr(got, name) == pytest.approx(
+                    getattr(c.stats, name), rel=TOLERANCE, abs=TOLERANCE
+                ), (symmetry, name)
+        rank = {c.node_id: i for i, c in enumerate(moved)}
+        for i, first in enumerate(base):
+            for later in base[i + 1 :]:
+                if value(later) - value(first) > TOLERANCE:
+                    assert rank[first.node_id] < rank[later.node_id], symmetry
+
+
 @settings(max_examples=80, deadline=None)
 @given(label_rasters() | synth_rasters | mosaic_rasters, max_rays, st.data())
 @example(LabeledRaster.from_array(QUAD_GRID), None, None)
@@ -181,7 +254,7 @@ def test_upscaled_ring_ranks_first(k):
         scene = generate_ring(seed, outliers=4, size=192)
         labels = np.kron(scene.raster.labels, np.ones((k, k), dtype=np.int64))
         bundle = build_bundle(LabeledRaster.from_array(labels))
-        for choice, (_, _, trimmed) in zip(STREAMS, _termination(bundle)):
+        for choice, (_, _, trimmed) in zip(RING_STREAMS, _termination(bundle, RING_STREAMS)):
             terminals = filter_terminals(trimmed, bundle.hierarchy, 7)
             ranked = rank_candidates(bundle.hierarchy, by_id(bundle.isols), terminals)
             assert ranked, (seed, choice)
