@@ -571,8 +571,11 @@ def extract_isols(raster: LabeledRaster) -> list[Isol]:
     labels = raster.labels
     # A pixel is an edge pixel if any 4-neighbour has a different label;
     # the raster border counts as outside.
-    differs = np.ones(labels.shape, dtype=bool)
-    differs[1:-1, 1:-1] = False
+    differs = np.zeros(labels.shape, dtype=bool)
+    differs[0, :] = True
+    differs[-1, :] = True
+    differs[:, 0] = True
+    differs[:, -1] = True
     differs[1:, :] |= labels[1:, :] != labels[:-1, :]
     differs[:-1, :] |= labels[:-1, :] != labels[1:, :]
     differs[:, 1:] |= labels[:, 1:] != labels[:, :-1]

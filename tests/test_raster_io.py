@@ -672,6 +672,7 @@ def test_isol_takes_any_collection_of_pairs():
     caller[0] = (9, 9)
     assert made[2] == made[0]
     assert Isol(3, pairs[:3], pairs[:2]) != made[0]
+    assert Isol(3, pairs, pairs[:3]) != made[0]
     assert Isol(4, pairs, pairs[:2]) != made[0]
     empty = Isol(5, frozenset(), [])
     assert empty.pixels.shape == empty.edge_pixels.shape == (0, 2)
