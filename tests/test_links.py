@@ -207,6 +207,9 @@ def _isol(id_, *edge):
         ([[1, 0, 2]], _isol(1, (0, 0), (1, 0)), (1, 0)),  # ground
         ([[0, 0, 0]], _isol(1, (1, 0)), (1, 0)),  # every pixel ground
         ([[0, 0, 0]], _isol(1, (3, 0)), (3, 0)),
+        ([[1, 0, 2]], _isol(1, (2**63 - 1, 0)), (2**63 - 1, 0)),  # int64 edges
+        ([[1, 0, 2]], _isol(2, (2, 0), (0, -(2**63))), (0, -(2**63))),
+        ([[1, 0, 2]], _isol(2, (5, 0), (2**62, 0)), (5, 0)),  # first stray
         ([[1, 0, 2]], _isol(2**63, (0, 0)), (0, 0)),  # id past int64
         ([[1, 0, 2]], _isol(-(2**63) - 1, (2, 0)), (2, 0)),
     ],
