@@ -106,8 +106,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     ``config.out_dir``.
 
     Each large structure is freed after its last reader: the input raster
-    once the rays are cast (in ``_load``), and the link store, with its
-    mask table, once ``agglomerate`` returns.  So ``links.csv`` is
+    once the rays are cast (in ``_load``), and the link store once
+    ``agglomerate``, which drops its own link pixel masks on return, is
+    done with it.  So ``links.csv`` is
     formatted in memory before agglomeration and written last, like every
     other artifact only after ``clusters.pgm`` has been rendered.
     """

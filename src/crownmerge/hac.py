@@ -6,8 +6,9 @@ distance is the size of the union of all link-pixel sets between their
 members, so it is not additive.  Each group keeps a map from every linked
 neighbour to their pair's ``(pixel union, link count, length sum)``; a
 merge folds the smaller map into the larger one, uniting the two entries
-of a neighbour both sides share.  Each union is a ``links`` bit mask, and
-a min-heap of pairs picks each merge (see ``agglomerate``).  The linkage
+of a neighbour both sides share.  Each union is a bit mask (``Mask``) that
+``_pair_masks`` builds from the store's rays for each ``agglomerate`` call,
+and a min-heap of pairs picks each merge (see ``agglomerate``).  The linkage
 is reducible, because U(A+B, C) = U(A, C) | U(B, C) is at least as large
 as either part, so the merge heights never decrease along the merge order.
 
@@ -27,7 +28,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .links import _EMPTY, LinkStore, Mask, _unite
+from .links import DIRECTIONS, LinkStore
 from .raster_io import Isol
 
 
@@ -142,6 +143,137 @@ def group_pixels(hierarchy: Hierarchy, isols: Mapping[int, Isol], node_id: int) 
 # agglomeration
 # ---------------------------------------------------------------------------
 
+#: ``(bits, low, count)``: bit ``i`` of ``bits`` stands for ranked pixel
+#: ``low + i``, and ``count`` is the number of set bits.
+Mask = tuple[int, int, int]
+
+#: The mask of no pixels.
+_EMPTY: Mask = (0, 0, 0)
+
+
+def _unite(a: Mask, b: Mask) -> Mask:
+    """The union of two ``(bits, low, count)`` masks; an empty side returns the other."""
+    if not b[2]:
+        return a
+    if not a[2]:
+        return b
+    if b[1] < a[1]:
+        a, b = b, a
+    bits = a[0] | b[0] << (b[1] - a[1])
+    return bits, a[1], bits.bit_count()
+
+
+def _pair_masks(store: LinkStore) -> dict[tuple[int, int], tuple[Mask, int, int]]:
+    """``{pair: (mask, link count, length sum)}`` over every linked pair
+    of the store, in ``pairs()`` order.
+
+    Every distinct footprint pixel is ranked by its flat index ``y * span
+    + x``, ascending, so a pixel's rank is its row-major position among
+    them; ``span`` is one more than the largest x of any link's origin or
+    far end, so it bounds every footprint x.  ``mask`` is the pair's pixel
+    union as ``(bits, low, count)``: bit ``i`` of the int ``bits`` stands
+    for rank ``low + i``, ``low`` is the pair's lowest rank (0 for an
+    empty mask) and ``count`` the number of set bits.
+
+    Built in one vectorised pass over the store's ray table.  Each
+    footprint ``origin + step * (1..length)`` is expanded for all rows at
+    once, keyed pixel-major as ``flat * n_pairs + pair`` (pair ``i`` in
+    ``pairs()`` order), then sorted once and deduplicated by a neighbour
+    mask (``np.unique`` is far slower on wide keys).  That lists every
+    distinct (pixel, pair) in pixel order, so a pixel's rank is the
+    running count of the flat index's changes.  Each (pixel, pair) sets
+    its own bit in one packed byte buffer that every mask is read from;
+    each temporary is freed after its last reader.  The masks are
+    immutable, so readers may share them.
+
+    Raises ``ValueError`` if a link pixel, far end included, leaves the
+    non-negative int64 quadrant or a key overflows int64 (only a store
+    built by hand can): the flat indices would collide or wrap.
+    """
+    pairs = store.pairs()
+    if not pairs:
+        return {}
+    n_pairs = len(pairs)
+    counts = [rows.stop - rows.start for rows in store._rows.values()]
+    _, _, direction, ox, oy, length = store._table.T
+    dx, dy = np.array([step for _, *step in DIRECTIONS])[direction].T
+    # Checked before any far end is computed, since that sum can wrap.
+    if (
+        min(ox.min(), oy.min()) < 0
+        or ((dx < 0) & (length > ox)).any()
+        or ((dy < 0) & (length > oy)).any()
+    ):
+        raise ValueError("link pixels must have non-negative coordinates")
+    top = np.iinfo(np.int64).max
+    if ((dx > 0) & (length > top - ox)).any() or ((dy > 0) & (length > top - oy)).any():
+        raise ValueError("link far ends must fit in int64")
+    far_x, far_y = ox + dx * length, oy + dy * length
+    span = int(max(ox.max(), far_x.max())) + 1
+    size = span * (int(max(oy.max(), far_y.max())) + 1)
+    if n_pairs * size > top:
+        raise ValueError(f"{n_pairs} pairs of {size} pixels overflow int64 keys")
+    del far_x, far_y
+
+    # Pixel k (1-based) of a link is keyed (origin + step * k) * n_pairs
+    # + pair: a cumsum of each pixel's step, where a link's first step
+    # jumps from the previous link's last key.
+    step = (dy * span + dx) * n_pairs
+    del dx, dy
+    origin = (oy * span + ox) * n_pairs + np.repeat(np.arange(n_pairs), counts)
+    drawn = length > 0
+    first, last = (origin + step)[drawn], (origin + step * length)[drawn]
+    keys = np.repeat(step, length)
+    keys[(np.cumsum(length) - length)[drawn]] = first - np.append(0, last[:-1])
+    del step, origin, drawn, first, last
+    np.cumsum(keys, out=keys)
+    keys.sort()
+    distinct = np.ones(keys.size, dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    keys = keys[distinct]
+    del distinct
+    pair = keys % n_pairs
+    flat = np.floor_divide(keys, n_pairs, out=keys)
+    # Rank: the count of pixel changes up to a (pixel, pair), less one.
+    # Each pair's ranks ascend along the keys, one per pixel.
+    changed = np.ones(flat.size, dtype=bool)
+    changed[1:] = flat[1:] != flat[:-1]
+    del flat, keys
+    rank = changed.astype(np.int64)
+    del changed
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    npix = np.bincount(pair, minlength=n_pairs)
+    low = np.full(n_pairs, rank.size)
+    np.minimum.at(low, pair, rank)
+    low[npix == 0] = 0
+    high = low.copy()
+    np.maximum.at(high, pair, rank)
+    nbytes = np.where(npix > 0, (high - low) // 8 + 1, 0)
+    byte_bounds = np.append(0, np.cumsum(nbytes))
+    # Bit i of a mask is bit i % 8 of its byte i // 8 (little-endian),
+    # and its bytes start at byte_bounds[pair], so ``rank`` becomes, in
+    # place, each bit's position in one buffer of every mask.  Every
+    # (pixel, pair) is a distinct bit, so adding them sets each byte as
+    # an OR would.
+    rank += (8 * byte_bounds[:-1] - low)[pair]
+    del pair
+    bits = (rank & 7).astype(np.uint8)
+    np.left_shift(1, bits, out=bits)
+    rank >>= 3
+    packed = np.zeros(int(byte_bounds[-1]), dtype=np.uint8)
+    np.add.at(packed, rank, bits)
+    del rank, bits
+    buffer = memoryview(packed)
+    # reduceat keeps the sums exact int64; every pair has a link.
+    sums = np.add.reduceat(length, np.cumsum(counts) - counts).tolist()
+    byte_bounds = byte_bounds.tolist()
+    return {
+        pair: ((int.from_bytes(buffer[b0:b1], "little"), lo, count), links, total)
+        for pair, b0, b1, lo, count, links, total in zip(
+            pairs, byte_bounds, byte_bounds[1:], low.tolist(), npix.tolist(), counts, sums
+        )
+    }
+
 
 def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     """Merge closest groups until only unlinked groups remain.
@@ -153,21 +285,23 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     Every linked pair of active groups has an immutable entry ``(link
     pixel mask, link count, length sum)`` in both groups' neighbour maps,
     and one heap item ``(distance, lo min member, hi min member, left id,
-    right id)``.  The singletons' entries are the store's own
-    (``LinkStore._masks``); a merge builds a new one for a neighbour both
-    sides share.  An item is live while both its groups are active:
-    a pair's entry only changes when one side merges, a merge retires
-    both ids, and ids are never reused, so stale items are simply skipped
-    when popped.  Two active groups never share a minimum member, so the
-    heap orders live pairs exactly as a full scan for the smallest
+    right id)``.  The singletons' entries are built from the store's ray
+    table by ``_pair_masks``, once per call; a merge builds a new one for
+    a neighbour both sides share.  An item is live while both its groups
+    are active: a pair's entry only changes when one side merges, a merge
+    retires both ids, and ids are never reused, so stale items are simply
+    skipped when popped.  Two active groups never share a minimum member,
+    so the heap orders live pairs exactly as a full scan for the smallest
     ``(distance, tie key)`` would.  Every pixel union (an entry's, or a
     group's cumulative one) is a mask ``(bits, low, count)`` over the
-    ranked footprint pixels; ``links._unite`` makes a new one, and each
-    cached ``count`` is read as a heap key, a merge distance or an
-    ``a_cumulative``; only the counts leave this function.
+    ranked footprint pixels; ``_unite`` makes a new one, and each cached
+    ``count`` is read as a heap key, a merge distance or an
+    ``a_cumulative``.  Only the counts leave this function: the masks are
+    dropped on return, and the store is left as it was given.
 
-    Raises ``ValueError`` if two isols share an id or the store links a
-    segment that is not among ``isols``.
+    Raises ``ValueError`` if two isols share an id, the store links a
+    segment that is not among ``isols``, or a link pixel cannot be keyed
+    (see ``_pair_masks``).
     """
     ordered = sorted(isols, key=lambda isol: isol.id)
     singleton_ids = {isol.id: idx for idx, isol in enumerate(ordered)}
@@ -189,7 +323,7 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     # (empty) mask and distance 0.
     neighbours: dict[int, dict[int, tuple[Mask, int, int]]] = {n.id: {} for n in nodes}
     heap: list[tuple[int, int, int, int, int]] = []
-    for (a, b), entry in store._masks[2].items():
+    for (a, b), entry in _pair_masks(store).items():
         lo, hi = singleton_ids[a], singleton_ids[b]
         neighbours[lo][hi] = neighbours[hi][lo] = entry
         heap.append((entry[0][2], a, b, lo, hi))

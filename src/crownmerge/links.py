@@ -9,23 +9,22 @@ in both axes, king-style) across interstitial label-0 pixels and either
 * reaches another segment     -> recorded as a link, one int64 row of
                                  the ray table ``_COLUMNS``.
 
-A ``LinkStore`` is that table, sorted by segment pair; ``links_between``
-returns a pair's rows, and a row's pixels are the ``length`` steps after
-its origin in its direction.  The connective distance between two
-segments is the number of distinct interstitial pixels covered by all
-their links together, so overlapping rays are only counted once.  Segment
-pairs with no links are infinitely far apart.  Every such pixel union is
-held once, as a bit mask (``Mask``, united by ``_unite``) in one table per
-store (``LinkStore._masks``, built on first use); ``agglomerate`` and the
-distances read the masks' counts and unions, and only ``pair_union``
-decodes a mask into pixels.  ``dump_links_csv`` writes the ray table as
-links.csv.
+A ``LinkStore`` is that table, sorted by segment pair, and nothing else;
+``links_between`` returns a pair's rows, and a row's pixels are the
+``length`` steps after its origin in its direction.  The connective
+distance between two segments is the number of distinct interstitial
+pixels covered by all their links together, so overlapping rays are only
+counted once.  Segment pairs with no links are infinitely far apart.
+``pair_union``, ``pair_distance`` and ``group_distance`` read those pixels
+straight from the rows, as Python ints, so they answer for any int64
+table; ``hac.agglomerate`` builds its own bit masks of them.
+``dump_links_csv`` writes the ray table as links.csv.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from itertools import repeat
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -48,26 +47,6 @@ DIRECTIONS: tuple[tuple[str, int, int], ...] = (
 _COLUMNS = ("origin_isol", "target_isol", "direction", "origin_x", "origin_y", "length")
 _DIRECTION = _COLUMNS.index("direction")
 
-#: ``(bits, low, count)``: bit ``i`` of ``bits`` stands for ranked pixel
-#: ``low + i``, and ``count`` is the number of set bits.
-Mask = tuple[int, int, int]
-
-#: The mask of no pixels.
-_EMPTY: Mask = (0, 0, 0)
-
-
-def _unite(a: Mask, b: Mask) -> Mask:
-    """The union of two ``(bits, low, count)`` masks; an empty side returns the other."""
-    if not b[2]:
-        return a
-    if not a[2]:
-        return b
-    if b[1] < a[1]:
-        a, b = b, a
-    bits = a[0] | b[0] << (b[1] - a[1])
-    return bits, a[1], bits.bit_count()
-
-
 #: Distance value for segment pairs without any connective link.
 NO_CONNECTION = math.inf
 
@@ -79,13 +58,8 @@ class LinkStore:
     ``direction`` as a ``DIRECTIONS`` index.  It keeps a read-only copy,
     stably sorted by pair so that each pair keeps its links in the order
     given, beside a pair -> row range index; ``links_between`` returns views
-    of it.  Every pair's pixel union is one mask in the table ``_masks``,
-    built from the ray table by one sort on first use (by ``agglomerate``,
-    in a pipeline run) and kept, since the ray table never changes; every
-    later reader gets that same table.  The union readers raise
-    ``ValueError`` if a link pixel leaves the non-negative int64 quadrant,
-    which only a store built by hand can do; the table then caches nothing,
-    so they raise on every call.
+    of it.  Those two are all it holds, from construction on;
+    ``hac.agglomerate`` builds its masks from them.
     """
 
     def __init__(self, table: np.ndarray):
@@ -130,133 +104,16 @@ class LinkStore:
     def pair_union(self, a: int, b: int) -> set[PixelCoord]:
         """Distinct interstitial pixels over the pair's links, in a new set the caller owns.
 
-        The one place a mask becomes pixels: its set bits are unpacked,
-        offset by its lowest rank and looked up in the ranked flat indices.
+        Each row adds the ``length`` pixels after its origin in its
+        direction, as Python ints, so no coordinate wraps.
         """
-        span, ranked, masks = self._masks
-        if _key(a, b) not in masks:
-            return set()
-        (bits, low, _), _, _ = masks[_key(a, b)]
-        on = np.unpackbits(
-            np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8),
-            bitorder="little",
-        )
-        ys, xs = np.divmod(ranked[low + np.flatnonzero(on)], span)
-        return set(zip(xs.tolist(), ys.tolist()))
-
-    @cached_property
-    def _masks(self) -> tuple[int, np.ndarray, dict[tuple[int, int], tuple[Mask, int, int]]]:
-        """``(span, ranked, {pair: (mask, link count, length sum)})`` over
-        every linked pair, sorted by pair; built on first use and kept.
-
-        ``ranked`` holds every distinct footprint pixel as a flat index
-        ``y * span + x``, ascending, so a pixel's rank is its row-major
-        position among them; ``span`` is one more than the largest x of any
-        link's origin or far end, so it bounds every footprint x.  ``mask``
-        is the pair's pixel union as ``(bits, low, count)``: bit ``i`` of
-        the int ``bits`` stands for rank ``low + i``, ``low`` is the pair's
-        lowest rank (0 for an empty mask) and ``count`` the number of set
-        bits.
-
-        Built in one vectorised pass over the ray table.  Each footprint
-        ``origin + step * (1..length)`` is expanded for all rows at once,
-        keyed pixel-major as ``flat * n_pairs + pair`` (pair ``i`` in
-        ``pairs()`` order), then sorted once and deduplicated by a
-        neighbour mask (``np.unique`` is far slower on wide keys).  That
-        lists every distinct (pixel, pair) in pixel order, so ``ranked`` is
-        the flat index where it changes and a pixel's rank is the running
-        count of those changes.  Each (pixel, pair) sets its own bit in one
-        packed byte buffer that every mask is read from; each temporary is
-        freed after its last reader.  Every link pixel, far end included,
-        must lie in the non-negative int64 quadrant, or the flat indices
-        would collide or wrap.  The masks are immutable, so readers may
-        share them.
-        """
-        pairs = self.pairs()
-        if not pairs:
-            return 1, np.empty(0, dtype=np.int64), {}
-        n_pairs = len(pairs)
-        counts = [rows.stop - rows.start for rows in self._rows.values()]
-        _, _, direction, ox, oy, length = self._table.T
-        dx, dy = np.array([step for _, *step in DIRECTIONS])[direction].T
-        # Checked before any far end is computed, since that sum can wrap.
-        if (
-            min(ox.min(), oy.min()) < 0
-            or ((dx < 0) & (length > ox)).any()
-            or ((dy < 0) & (length > oy)).any()
-        ):
-            raise ValueError("link pixels must have non-negative coordinates")
-        top = np.iinfo(np.int64).max
-        if ((dx > 0) & (length > top - ox)).any() or ((dy > 0) & (length > top - oy)).any():
-            raise ValueError("link far ends must fit in int64")
-        far_x, far_y = ox + dx * length, oy + dy * length
-        span = int(max(ox.max(), far_x.max())) + 1
-        size = span * (int(max(oy.max(), far_y.max())) + 1)
-        if n_pairs * size > top:
-            raise ValueError(f"{n_pairs} pairs of {size} pixels overflow int64 keys")
-        del far_x, far_y
-
-        # Pixel k (1-based) of a link is keyed (origin + step * k) * n_pairs
-        # + pair: a cumsum of each pixel's step, where a link's first step
-        # jumps from the previous link's last key.
-        step = (dy * span + dx) * n_pairs
-        del dx, dy
-        origin = (oy * span + ox) * n_pairs + np.repeat(np.arange(n_pairs), counts)
-        drawn = length > 0
-        first, last = (origin + step)[drawn], (origin + step * length)[drawn]
-        keys = np.repeat(step, length)
-        keys[(np.cumsum(length) - length)[drawn]] = first - np.append(0, last[:-1])
-        del step, origin, drawn, first, last
-        np.cumsum(keys, out=keys)
-        keys.sort()
-        distinct = np.ones(keys.size, dtype=bool)
-        distinct[1:] = keys[1:] != keys[:-1]
-        keys = keys[distinct]
-        del distinct
-        pair = keys % n_pairs
-        flat = np.floor_divide(keys, n_pairs, out=keys)
-        # Rank: the count of pixel changes up to a (pixel, pair), less one.
-        # Each pair's ranks ascend along the keys, one per pixel.
-        changed = np.ones(flat.size, dtype=bool)
-        changed[1:] = flat[1:] != flat[:-1]
-        ranked = flat[changed]
-        del flat, keys
-        rank = changed.astype(np.int64)
-        del changed
-        np.cumsum(rank, out=rank)
-        rank -= 1
-        npix = np.bincount(pair, minlength=n_pairs)
-        low = np.full(n_pairs, ranked.size)
-        np.minimum.at(low, pair, rank)
-        low[npix == 0] = 0
-        high = low.copy()
-        np.maximum.at(high, pair, rank)
-        nbytes = np.where(npix > 0, (high - low) // 8 + 1, 0)
-        byte_bounds = np.append(0, np.cumsum(nbytes))
-        # Bit i of a mask is bit i % 8 of its byte i // 8 (little-endian),
-        # and its bytes start at byte_bounds[pair], so ``rank`` becomes, in
-        # place, each bit's position in one buffer of every mask.  Every
-        # (pixel, pair) is a distinct bit, so adding them sets each byte as
-        # an OR would.
-        rank += (8 * byte_bounds[:-1] - low)[pair]
-        del pair
-        bits = (rank & 7).astype(np.uint8)
-        np.left_shift(1, bits, out=bits)
-        rank >>= 3
-        packed = np.zeros(int(byte_bounds[-1]), dtype=np.uint8)
-        np.add.at(packed, rank, bits)
-        del rank, bits
-        buffer = memoryview(packed)
-        # reduceat keeps the sums exact int64; every pair has a link.
-        sums = np.add.reduceat(length, np.cumsum(counts) - counts).tolist()
-        byte_bounds = byte_bounds.tolist()
-        masks = {
-            pair: ((int.from_bytes(buffer[b0:b1], "little"), lo, count), links, total)
-            for pair, b0, b1, lo, count, links, total in zip(
-                pairs, byte_bounds, byte_bounds[1:], low.tolist(), npix.tolist(), counts, sums
-            )
-        }
-        return span, ranked, masks
+        pixels: set[PixelCoord] = set()
+        for _, _, d, x, y, length in self.links_between(a, b).tolist():
+            _, dx, dy = DIRECTIONS[d]
+            xs = range(x + dx, x + dx * (length + 1), dx) if dx else repeat(x, length)
+            ys = range(y + dy, y + dy * (length + 1), dy) if dy else repeat(y, length)
+            pixels.update(zip(xs, ys))
+        return pixels
 
 
 def _key(a: int, b: int) -> tuple[int, int]:
@@ -376,7 +233,7 @@ def pair_distance(store: LinkStore, a: int, b: int) -> int | float:
     """
     if _key(a, b) not in store._rows:
         return NO_CONNECTION
-    return store._masks[2][_key(a, b)][0][2]
+    return len(store.pair_union(a, b))
 
 
 def group_distance(
@@ -384,7 +241,7 @@ def group_distance(
 ) -> int | float:
     """Connective distance between two disjoint groups of segments.
 
-    The pixel union runs over every cross pair's mask, so shared
+    The pixel union runs over every cross pair's ``pair_union``, so shared
     interstitial pixels are not double counted and the result can be well
     below the sum of pair distances.
     """
@@ -393,14 +250,10 @@ def group_distance(
         raise ValueError("groups must be non-empty")
     if set_a & set_b:
         raise ValueError(f"groups overlap: {sorted(set_a & set_b)}")
-    linked = [_key(a, b) for a in set_a for b in set_b if _key(a, b) in store._rows]
+    linked = [(a, b) for a in set_a for b in set_b if _key(a, b) in store._rows]
     if not linked:
         return NO_CONNECTION
-    masks = store._masks[2]
-    union = _EMPTY
-    for pair in linked:
-        union = _unite(union, masks[pair][0])
-    return union[2]
+    return len(set().union(*(store.pair_union(a, b) for a, b in linked)))
 
 
 def dump_links_csv(store: LinkStore, stream: IO[str]) -> None:

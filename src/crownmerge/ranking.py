@@ -47,7 +47,11 @@ def score_cluster(pixels: np.ndarray | Iterable[tuple[float, float]]) -> Dispers
     pts = np.asarray(pixels if isinstance(pixels, np.ndarray) else list(pixels), dtype=float)
     if pts.size == 0:
         raise ValueError("cannot score an empty pixel set")
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    return _score_sorted(pts[np.lexsort((pts[:, 1], pts[:, 0]))])
+
+
+def _score_sorted(pts: np.ndarray) -> DispersionStats:
+    """``score_cluster`` of a non-empty float array already ascending by ``(x, y)``."""
     centroid = pts.mean(axis=0)
     devs = np.hypot(pts[:, 0] - centroid[0], pts[:, 1] - centroid[1])
     sum_dev = float(devs.sum())
@@ -85,9 +89,10 @@ def rank_candidates(
     """
     if key not in SCORE_KEYS:
         raise ValueError(f"score key must be one of {SCORE_KEYS}, got {key!r}")
+    # group_pixels rows ascend by (x, y), and so do their float casts.
     scored = [
-        RankedCandidate(node_id, score_cluster(group_pixels(hierarchy, isols, node_id)))
-        for node_id in sorted(terminals)
+        RankedCandidate(node, _score_sorted(group_pixels(hierarchy, isols, node).astype(float)))
+        for node in sorted(terminals)
     ]
     value = (lambda s: s.score) if key == "mean" else (lambda s: s.sum_over_max)
     scored.sort(key=lambda c: (value(c.stats), c.node_id))

@@ -143,7 +143,8 @@ class Isol:
     the segment (different label, 0, or off the raster).  Both are
     read-only ``(n, 2)`` int64 arrays of distinct ``(x, y)`` rows, ascending
     by ``(x, y)``, made anew from any collection of pairs given; a
-    coordinate past int64 raises a ``ValueError`` naming the isol and pixel.
+    coordinate that is not an integer (``numbers.Integral``), or lies past
+    int64, raises a ``ValueError`` naming the isol and pixel.
     """
 
     id: int
@@ -154,6 +155,10 @@ class Isol:
         for name in ("pixels", "edge_pixels"):
             given = getattr(self, name)
             rows = sorted(set(map(tuple, given.tolist() if isinstance(given, np.ndarray) else given)))
+            # The cast below would truncate a float without a word.
+            for x, y in rows:
+                if not isinstance(x, numbers.Integral) or not isinstance(y, numbers.Integral):
+                    raise ValueError(f"isol {self.id} pixel ({x}, {y}) has a non-integer coordinate")
             try:
                 array = np.array(rows, dtype=np.int64).reshape(len(rows), 2)
             except OverflowError:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from crownmerge import (
+    DIRECTIONS,
     Hierarchy,
     HierarchyNode,
     Isol,
@@ -17,10 +20,12 @@ from crownmerge import (
     cast_rays,
     extract_isols,
     generate_random,
+    group_distance,
     group_pixels,
     hierarchy_records,
+    pair_distance,
 )
-from crownmerge.links import _EMPTY, _unite
+from crownmerge.hac import _EMPTY, _pair_masks, _unite
 
 from conftest import (
     build_bundle,
@@ -36,6 +41,8 @@ from oracles import (
     brute_force_merge_sequence,
     link_table,
     merge_sequence_of,
+    ray_pixels,
+    raw_union,
     walk_rays,
 )
 
@@ -343,3 +350,138 @@ def test_unite_shifts_to_the_lower_offset(a, b, union, swap):
     got = _unite(a, b)
     assert got == union
     assert got[2] == got[0].bit_count()
+
+
+def test_agglomerate_leaves_the_store_its_table_and_row_index():
+    # The masks are agglomerate's own: built per call and dropped, so the
+    # store keeps exactly what it was built with, and every merge distance
+    # is the ray-level group distance of the two merged groups.
+    raster = mosaic(0, n_cells=40, size=48, valley=1)
+    isols = extract_isols(raster)
+    store = cast_rays(raster, isols)
+    held = dict(vars(store))
+    h = agglomerate(isols, store)
+    assert len(store.pairs()) > 100 and h.merge_node_ids()
+    assert sorted(held) == ["_rows", "_table"]
+    assert vars(store).keys() == held.keys()
+    assert all(vars(store)[name] is value for name, value in held.items())
+    for node_id in h.merge_node_ids():
+        left, right = (h.node(n).members for n in h.node(node_id).ancestors)
+        assert h.node(node_id).merge_distance == group_distance(store, left, right)
+    for a, b in store.pairs():
+        assert len(store.pair_union(a, b)) == pair_distance(store, a, b)
+        assert group_distance(store, {a}, {b}) == pair_distance(store, b, a)
+
+
+def _link_stats(store: LinkStore, a: int, b: int) -> tuple[int, int]:
+    """(link count, summed link length) of a pair, read off its rows."""
+    rows = store.links_between(a, b).tolist()
+    return len(rows), sum(row[5] for row in rows)
+
+
+def _row_major(pixels) -> list[tuple[int, int]]:
+    """Pixels ascending by ``(y, x)``: the rank order of the masks."""
+    return sorted(pixels, key=lambda p: (p[1], p[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_rasters(), max_rays)
+@example(LabeledRaster.from_array([[1, 2]]), None)  # touching: an empty mask
+@example(LabeledRaster.from_array([[0, 1, 0]]), None)  # no links at all
+@example(LabeledRaster.from_array([[1, 0, 0, 2, 0, 3, 0, 1]]), None)  # 1xN
+@example(LabeledRaster.from_array([[1], [0], [0], [2], [0], [3], [0], [1]]), 2)  # Nx1
+@example(LabeledRaster.from_array([[1, 0, 2], [0, 0, 0], [3, 0, 4]]), None)  # row 0, column 0
+def test_flat_pair_unions_match_pair_union_and_link_stats(raster, max_ray):
+    # The masks are decoded through the row-major order of every link
+    # pixel and checked against the union of the links' own pixels.
+    store = cast_rays(raster, extract_isols(raster), max_ray=max_ray)
+    masks = _pair_masks(store)
+    assert list(masks) == list(store.pairs())
+    unions = {(a, b): raw_union(store, {a}, {b})[0] for a, b in store.pairs()}
+    pixels = _row_major(set().union(*unions.values()))
+    footprint = set()
+    for pair, ((bits, low, count), link_count, length_sum) in masks.items():
+        assert all(type(v) is int for v in (bits, low, count))
+        assert count == bits.bit_count()
+        # The offset is the lowest rank, so bit 0 is set unless empty.
+        assert bits & 1 if count else (bits, low) == (0, 0)
+        decoded = {pixels[low + i] for i in range(bits.bit_length()) if bits >> i & 1}
+        assert decoded == unions[pair] == store.pair_union(*pair)
+        assert (link_count, length_sum) == _link_stats(store, *pair)
+        footprint |= decoded
+    assert footprint == set(pixels)
+
+
+def test_flat_pair_unions_of_touching_pair_are_empty_but_linked():
+    store = build_bundle(LabeledRaster.from_array([[1, 2]])).store
+    assert _pair_masks(store) == {(1, 2): ((0, 0, 0), 2, 0)}
+    assert store.pair_union(1, 2) == set()
+
+
+def test_flat_pair_unions_span_covers_far_ends():
+    # Cast rays always come in mirrored pairs; a store built by hand need
+    # not, so the span must bound the far end of a one-way link too.  Here
+    # every origin has x = 0, yet the row-major ranks are (0, 1), (1, 1),
+    # (0, 2), (2, 2), (3, 3): a span of 1 would key (1, 1) and (0, 2) alike.
+    store = LinkStore(link_table((1, 2, "SE", 0, 0, 3), (3, 4, "S", 0, 0, 2)))
+    assert _pair_masks(store) == {(1, 2): ((0b1101, 1, 3), 1, 3), (3, 4): ((0b101, 0, 2), 1, 2)}
+
+
+def test_flat_pair_unions_offset_masks_by_lowest_rank():
+    # Ranks 0..5 are the pixels (1..3, 1) and (1..3, 3) in row-major
+    # order; pair (1, 2) covers the first row and pair (2, 3) the second,
+    # so its mask starts at rank 3.
+    store = LinkStore(link_table(
+        (1, 2, "E", 0, 1, 3),
+        (3, 2, "E", 0, 3, 3),
+        (2, 3, "W", 4, 3, 2),
+    ))
+    assert _pair_masks(store) == {(1, 2): ((0b111, 0, 3), 1, 3), (2, 3): ((0b111, 3, 3), 2, 5)}
+    assert store.pair_union(2, 3) == {(1, 3), (2, 3), (3, 3)}
+
+
+#: Rows of hand-built ray tables: ids 1-5, any direction, lengths 0-4 and
+#: origins in a 6x6 box shifted by the longest length, so that every pixel
+#: stays in the quadrant.  Unlike cast tables, these have one-way links,
+#: zero-length rows, duplicate rows and many pairs over one pixel.
+hand_rows = st.tuples(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=len(DIRECTIONS) - 1),
+    st.integers(min_value=4, max_value=9),
+    st.integers(min_value=4, max_value=9),
+    st.integers(min_value=0, max_value=4),
+).filter(lambda row: row[0] != row[1])
+
+
+@st.composite
+def hand_tables(draw) -> list[tuple[int, ...]]:
+    rows = draw(st.lists(hand_rows, max_size=24))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=6))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_tables())
+@example([])
+@example([(1, 2, 2, 4, 4, 0), (2, 1, 6, 5, 4, 0)])  # touching only: no pixels
+@example([(1, 2, 3, 4, 4, 4), (3, 4, 1, 4, 8, 4), (1, 2, 3, 4, 4, 4)])  # crossing, duplicated
+def test_masks_match_sets_of_ray_pixels(rows):
+    store = LinkStore(np.array(rows, dtype=np.int64).reshape(-1, 6))
+    masks = _pair_masks(store)
+    footprints: dict[tuple[int, int], set] = {}
+    stats: dict[tuple[int, int], tuple[int, int]] = {}
+    for row in rows:
+        pair = (min(row[:2]), max(row[:2]))
+        footprints.setdefault(pair, set()).update(ray_pixels(row))
+        links, total = stats.get(pair, (0, 0))
+        stats[pair] = (links + 1, total + row[5])
+    rank = {p: r for r, p in enumerate(_row_major(set(chain.from_iterable(footprints.values()))))}
+    assert list(masks) == sorted(footprints)
+    for pair, pixels in footprints.items():
+        ranks = [rank[p] for p in pixels]
+        low = min(ranks, default=0)
+        bits = sum(1 << (r - low) for r in ranks)
+        assert masks[pair] == ((bits, low, len(pixels)), *stats[pair])
+        assert store.pair_union(*pair) == pixels

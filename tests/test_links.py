@@ -18,6 +18,7 @@ from crownmerge import (
     Isol,
     LabeledRaster,
     LinkStore,
+    agglomerate,
     cast_rays,
     extract_isols,
     generate_random,
@@ -274,118 +275,6 @@ def _assert_cast_rays_matches_walk(raster, max_ray, reverse):
         assert all(type(v) is int for px in got.pair_union(*pair) for v in px)
 
 
-@settings(max_examples=200, deadline=None)
-@given(label_rasters(), max_rays)
-@example(LabeledRaster.from_array([[1, 2]]), None)  # touching: an empty mask
-@example(LabeledRaster.from_array([[0, 1, 0]]), None)  # no links at all
-@example(LabeledRaster.from_array([[1, 0, 0, 2, 0, 3, 0, 1]]), None)  # 1xN
-@example(LabeledRaster.from_array([[1], [0], [0], [2], [0], [3], [0], [1]]), 2)  # Nx1
-@example(LabeledRaster.from_array([[1, 0, 2], [0, 0, 0], [3, 0, 4]]), None)  # row 0, column 0
-def test_flat_pair_unions_match_pair_union_and_link_stats(raster, max_ray):
-    # pair_union decodes these same masks, so they are checked against
-    # the union of the links' own interstitial pixels instead.
-    store = cast_rays(raster, extract_isols(raster), max_ray=max_ray)
-    span, ranked, masks = store._masks
-    assert list(masks) == list(store.pairs())
-    # Ranks are row-major: the flat indices ascend, each one pixel.
-    assert ranked.tolist() == sorted(set(ranked.tolist()))
-    pixels = [(x, y) for y, x in (divmod(flat, span) for flat in ranked.tolist())]
-    assert all(0 <= x < span for x, _ in pixels)
-    footprint = set()
-    for pair, ((bits, low, count), link_count, length_sum) in masks.items():
-        assert all(type(v) is int for v in (bits, low, count))
-        assert count == bits.bit_count()
-        # The offset is the lowest rank, so bit 0 is set unless empty.
-        assert bits & 1 if count else (bits, low) == (0, 0)
-        decoded = {pixels[low + i] for i in range(bits.bit_length()) if bits >> i & 1}
-        assert decoded == raw_union(store, {pair[0]}, {pair[1]})[0] == store.pair_union(*pair)
-        assert (link_count, length_sum) == _link_stats(store, *pair)
-        footprint |= decoded
-    assert footprint == set(pixels)
-
-
-def test_flat_pair_unions_of_touching_pair_are_empty_but_linked():
-    store = scene([[1, 2]]).store
-    span, ranked, masks = store._masks
-    assert ranked.tolist() == []
-    assert masks == {(1, 2): ((0, 0, 0), 2, 0)}
-    assert store.pair_union(1, 2) == set()
-
-
-def test_flat_pair_unions_span_covers_far_ends():
-    # Cast rays always come in mirrored pairs; a store built by hand need
-    # not, so the span must bound the far end of a one-way link too.
-    store = LinkStore(link_table((1, 2, "SE", 0, 0, 3)))
-    span, ranked, masks = store._masks
-    assert (span, ranked.tolist()) == (4, [5, 10, 15])
-    assert masks == {(1, 2): ((0b111, 0, 3), 1, 3)}
-
-
-def test_flat_pair_unions_offset_masks_by_lowest_rank():
-    # Ranks 0..5 are the pixels (1..3, 1) and (1..3, 3) in row-major
-    # order; pair (1, 2) covers the first row and pair (2, 3) the second,
-    # so its mask starts at rank 3.
-    store = LinkStore(link_table(
-        (1, 2, "E", 0, 1, 3),
-        (3, 2, "E", 0, 3, 3),
-        (2, 3, "W", 4, 3, 2),
-    ))
-    span, ranked, masks = store._masks
-    assert (span, ranked.tolist()) == (5, [6, 7, 8, 16, 17, 18])
-    assert masks == {(1, 2): ((0b111, 0, 3), 1, 3), (2, 3): ((0b111, 3, 3), 2, 5)}
-    assert store.pair_union(2, 3) == {(1, 3), (2, 3), (3, 3)}
-
-
-#: Rows of hand-built ray tables: ids 1-5, any direction, lengths 0-4 and
-#: origins in a 6x6 box shifted by the longest length, so that every pixel
-#: stays in the quadrant.  Unlike cast tables, these have one-way links,
-#: zero-length rows, duplicate rows and many pairs over one pixel.
-hand_rows = st.tuples(
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=0, max_value=len(DIRECTIONS) - 1),
-    st.integers(min_value=4, max_value=9),
-    st.integers(min_value=4, max_value=9),
-    st.integers(min_value=0, max_value=4),
-).filter(lambda row: row[0] != row[1])
-
-
-@st.composite
-def hand_tables(draw) -> list[tuple[int, ...]]:
-    rows = draw(st.lists(hand_rows, max_size=24))
-    if rows:
-        rows += draw(st.lists(st.sampled_from(rows), max_size=6))
-    return rows
-
-
-@settings(max_examples=300, deadline=None)
-@given(hand_tables())
-@example([])
-@example([(1, 2, 2, 4, 4, 0), (2, 1, 6, 5, 4, 0)])  # touching only: no pixels
-@example([(1, 2, 3, 4, 4, 4), (3, 4, 1, 4, 8, 4), (1, 2, 3, 4, 4, 4)])  # crossing, duplicated
-def test_masks_match_sets_of_ray_pixels(rows):
-    store = LinkStore(np.array(rows, dtype=np.int64).reshape(-1, 6))
-    span, ranked, masks = store._masks
-    footprints: dict[tuple[int, int], set] = {}
-    stats: dict[tuple[int, int], tuple[int, int]] = {}
-    for row in rows:
-        pair = (min(row[:2]), max(row[:2]))
-        footprints.setdefault(pair, set()).update(ray_pixels(row))
-        links, total = stats.get(pair, (0, 0))
-        stats[pair] = (links + 1, total + row[5])
-    far_x = [x + DIRECTIONS[d][1] * n for _, _, d, x, _, n in rows]
-    want_span = max([x for *_, x, _, _ in rows] + far_x, default=0) + 1
-    want_ranked = sorted({y * want_span + x for pixels in footprints.values() for x, y in pixels})
-    assert (span, ranked.tolist()) == (want_span, want_ranked)
-    rank = {flat: r for r, flat in enumerate(want_ranked)}
-    assert list(masks) == sorted(footprints)
-    for pair, pixels in footprints.items():
-        ranks = [rank[y * want_span + x] for x, y in pixels]
-        low = min(ranks, default=0)
-        bits = sum(1 << (r - low) for r in ranks)
-        assert masks[pair] == ((bits, low, len(pixels)), *stats[pair])
-
-
 @pytest.mark.parametrize(
     "link, message",
     [
@@ -399,35 +288,19 @@ def test_masks_match_sets_of_ray_pixels(rows):
 def test_flat_pair_unions_reject_unkeyable_pixels(link, message):
     # Pixels off the raster's quadrant would collide as flat indices, far
     # ends past int64 would wrap, and too wide a bounding box would
-    # overflow the pair-major keys.  Every union reader says so, again on
-    # a second call: a failed build of the mask table keeps nothing.
+    # overflow the pair-major keys of agglomerate's masks, so it says so,
+    # again on a second call.  The distance readers work from the rows in
+    # Python ints and answer for any int64 table.
     store = LinkStore(link_table(link))
-    readers = (
-        lambda: store._masks,
-        lambda: store.pair_union(1, 2),
-        lambda: pair_distance(store, 1, 2),
-        lambda: group_distance(store, {2}, {1}),
-    )
-    for read in readers * 2:
+    isols = [Isol(i, [], []) for i in (1, 2, 3)]
+    for _ in range(2):
         with pytest.raises(ValueError, match=message):
-            read()
-    # Unlinked queries answer without building the table.
+            agglomerate(isols, store)
+    want = set(ray_pixels(store.links_between(1, 2)[0]))
+    assert store.pair_union(1, 2) == store.pair_union(2, 1) == want
+    assert pair_distance(store, 1, 2) == group_distance(store, {2}, {1}) == len(want)
     assert pair_distance(store, 1, 3) == group_distance(store, {1}, {3}) == NO_CONNECTION
-    assert "_masks" not in store.__dict__
-
-
-def test_mask_table_is_built_once_per_store():
-    # agglomerate and every union reader share one mask table: the one
-    # agglomerate built is kept, and every later read gets that object.
-    bundle = build_bundle(mosaic(0, n_cells=40, size=48, valley=1))
-    store, isols = bundle.store, bundle.isols
-    table = store.__dict__["_masks"]
-    assert len(store.pairs()) > 100 and bundle.hierarchy.merge_node_ids()
-    for a, b in store.pairs():
-        assert len(store.pair_union(a, b)) == pair_distance(store, a, b)
-        assert group_distance(store, {a}, {b}) == pair_distance(store, b, a)
-    assert group_distance(store, [isols[0].id], [isol.id for isol in isols[1:]]) > 0
-    assert store.__dict__["_masks"] is table and store._masks is table
+    assert sorted(vars(store)) == ["_rows", "_table"]
 
 
 @settings(max_examples=150, deadline=None)

@@ -699,6 +699,27 @@ def test_isol_rejects_coordinates_past_int64(pairs, stray):
             Isol(2, frozenset(), collection(pairs))
 
 
+@pytest.mark.parametrize(
+    "pairs, stray, array_stray",
+    [
+        ([(1.5, 2)], "(1.5, 2)", "(1.5, 2.0)"),
+        ([(0, 0), (1.9, 2.0)], "(1.9, 2.0)", "(0.0, 0.0)"),
+        ([(3, 4), (5, 2.0)], "(5, 2.0)", "(3.0, 4.0)"),
+    ],
+    ids=["x-half", "beside-an-integer-pixel", "whole-float"],
+)
+def test_isol_rejects_non_integer_coordinates(pairs, stray, array_stray):
+    # A float coordinate, even a whole one, would be truncated where the
+    # isol is cast to int64; it is refused whatever collection holds it.
+    # In a float array every coordinate is a float, so its first pixel is named.
+    for collection, named in ((frozenset, stray), (list, stray), (np.array, array_stray)):
+        message = re.escape(f"isol 2 pixel {named} has a non-integer coordinate")
+        with pytest.raises(ValueError, match=message):
+            Isol(2, collection(pairs), frozenset())
+        with pytest.raises(ValueError, match=message):
+            Isol(2, frozenset(), collection(pairs))
+
+
 # ---------------------------------------------------------------------------
 # writers
 # ---------------------------------------------------------------------------
