@@ -105,18 +105,22 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run every stage on ``config.input_path`` and write the artifacts to
     ``config.out_dir``.
 
+    Every artifact is formatted into one ``{relative path: bytes}`` table
+    before ``config.out_dir`` is made, so a run that fails (bad input, or
+    more than 65535 candidates for ``clusters.pgm``) leaves no output
+    directory.  An existing ``config.out_dir`` is written into: each
+    artifact replaces its namesake and other files stay.  An I/O error
+    while the table is written can still leave part of it on disk.
+
     Each large structure is freed after its last reader: the input raster
     once the rays are cast (in ``_load``), and the link store once
     ``agglomerate``, which drops its own link pixel masks on return, is
-    done with it.  So ``links.csv`` is
-    formatted in memory before agglomeration and written last, like every
-    other artifact only after ``clusters.pgm`` has been rendered.
+    done with it, so ``links.csv`` is formatted before agglomeration.
     """
     shape, isols, store = _load(config)
-    links_csv = None
+    files = {}
     if config.dump_links:
-        links_csv = io.StringIO()
-        links.dump_links_csv(store, links_csv)
+        files["links.csv"] = _text(links.dump_links_csv, store)
     hierarchy = hac.agglomerate(isols, store)
     del store
     analysis = _analyse(config, isols, hierarchy)
@@ -125,28 +129,37 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     trimmed = termination.trim(hierarchy, breaks)
     terminals = termination.filter_terminals(trimmed, hierarchy, config.min_group_size)
     candidates = ranking.rank_candidates(hierarchy, by_id, terminals, key=config.score_key)
-    # Rendered before anything is written: it is the one artifact that can
-    # still fail (more than 65535 candidates), and then no --out is made.
-    clusters = _render_clusters(shape, hierarchy, by_id, candidates)
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_report(config, hierarchy, breaks, candidates)
-    _write_hierarchy(config, hierarchy)
-    with open(config.out_dir / "params.csv", "w", newline="") as fh:
-        params.dump_params_csv(hierarchy, analysis.node_params, fh)
-    trace_dir = config.out_dir / "traces"
-    trace_dir.mkdir(exist_ok=True)
+    files["report.json"] = _json({
+        "schema": REPORT_SCHEMA,
+        "parameter": config.parameter,
+        "significance_p": config.significance_p,
+        "f_significance": breaks.significance,
+        "min_group_size": config.min_group_size,
+        "score_key": config.score_key,
+        "isol_count": hierarchy.singleton_count(),
+        "candidates": [
+            _candidate_row(hierarchy, c, rank)
+            for rank, c in enumerate(candidates, start=1)
+        ],
+    })
+    files["hierarchy.json"] = _json(
+        {"schema": REPORT_SCHEMA, "nodes": hac.hierarchy_records(hierarchy)}
+    )
+    files["params.csv"] = _text(params.dump_params_csv, hierarchy, analysis.node_params)
     for trace in analysis.traces:
         (isol_id,) = hierarchy.node(trace.start).members
-        with open(trace_dir / f"{isol_id}.csv", "w", newline="") as fh:
-            termination.dump_trace_csv(trace, fh)
-    with open(config.out_dir / "histogram.csv", "w", newline="") as fh:
-        termination.dump_histogram_csv(hierarchy, breaks, fh)
-    (config.out_dir / "clusters.pgm").write_bytes(clusters)
-    if links_csv is not None:
-        with open(config.out_dir / "links.csv", "w", newline="") as fh:
-            fh.write(links_csv.getvalue())
+        files[f"traces/{isol_id}.csv"] = _text(termination.dump_trace_csv, trace)
+    files["histogram.csv"] = _text(termination.dump_histogram_csv, hierarchy, breaks)
+    groups = [
+        (rank, sorted(hierarchy.node(c.node_id).members))
+        for rank, c in enumerate(candidates, start=1)
+    ]
+    files["clusters.pgm"] = raster_io.dump_pgm(
+        raster_io.write_cluster_raster(raster_io._ground(*shape), groups, by_id)
+    )
 
+    _write(config.out_dir, files, "traces")
     return PipelineResult(
         hierarchy=hierarchy,
         candidates=candidates,
@@ -172,45 +185,25 @@ def _candidate_row(hierarchy: hac.Hierarchy, c: ranking.RankedCandidate, rank: i
     }
 
 
-def _write_report(config, hierarchy, breaks, candidates) -> None:
-    report = {
-        "schema": REPORT_SCHEMA,
-        "parameter": config.parameter,
-        "significance_p": config.significance_p,
-        "f_significance": breaks.significance,
-        "min_group_size": config.min_group_size,
-        "score_key": config.score_key,
-        "isol_count": hierarchy.singleton_count(),
-        "candidates": [
-            _candidate_row(hierarchy, c, rank)
-            for rank, c in enumerate(candidates, start=1)
-        ],
-    }
-    _dump_json(config.out_dir / "report.json", report)
+def _text(dump, *args) -> bytes:
+    """The bytes ``dump(*args, stream)`` writes to a text stream."""
+    stream = io.StringIO()
+    dump(*args, stream)
+    return stream.getvalue().encode()
 
 
-def _write_hierarchy(config, hierarchy) -> None:
-    _dump_json(
-        config.out_dir / "hierarchy.json",
-        {"schema": REPORT_SCHEMA, "nodes": hac.hierarchy_records(hierarchy)},
-    )
+def _json(payload: dict) -> bytes:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _render_clusters(shape, hierarchy, by_id, candidates) -> bytes:
-    """The ``clusters.pgm`` bytes of a (width, height) scene: each candidate
-    painted with its rank on blank ground."""
-    groups = [
-        (rank, sorted(hierarchy.node(c.node_id).members))
-        for rank, c in enumerate(candidates, start=1)
-    ]
-    painted = raster_io.write_cluster_raster(raster_io._ground(*shape), groups, by_id)
-    return raster_io.dump_pgm(painted)
-
-
-def _dump_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _write(out_dir: Path, files: dict[str, bytes], *subdirs: str) -> None:
+    """Make ``out_dir`` and its ``subdirs``, then write each
+    ``{relative path: bytes}`` entry of ``files`` into it."""
+    for directory in (out_dir, *(out_dir / name for name in subdirs)):
+        directory.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        (out_dir / name).write_bytes(data)
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +287,14 @@ def synth_cmd(kind, seed, k, gap, outliers, n_isols, size, out_dir) -> None:
             scene = synth.generate_ring(seed, k=k, gap=gap, outliers=outliers, size=size)
         else:
             scene = synth.generate_random(seed, n_isols, size=size)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "scene.txt").write_text(raster_io.dump_text_grid(scene.raster))
-        _dump_json(
-            out_dir / "truth.json",
-            {
-                "seed": scene.seed,
-                "truth_groups": [sorted(group) for group in scene.truth_groups],
-            },
-        )
+        truth = {
+            "seed": scene.seed,
+            "truth_groups": [sorted(group) for group in scene.truth_groups],
+        }
+        _write(out_dir, {
+            "scene.txt": raster_io.dump_text_grid(scene.raster).encode(),
+            "truth.json": _json(truth),
+        })
     except (OSError, ValueError) as exc:
         _fail(str(exc))
     click.echo(f"wrote {kind} scene with {len(scene.truth_groups)} truth groups")

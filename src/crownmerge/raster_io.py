@@ -142,9 +142,10 @@ class Isol:
     Edge pixels are those with at least one 4-neighbour that is outside
     the segment (different label, 0, or off the raster).  Both are
     read-only ``(n, 2)`` int64 arrays of distinct ``(x, y)`` rows, ascending
-    by ``(x, y)``, made anew from any collection of pairs given; a
-    coordinate that is not an integer (``numbers.Integral``), or lies past
-    int64, raises a ``ValueError`` naming the isol and pixel.
+    by ``(x, y)``, made anew from any collection of pairs given; a row
+    that is not a pair, or a coordinate that is not an integer
+    (``numbers.Integral``) or lies past int64, raises a ``ValueError``
+    naming the isol and pixel.
     """
 
     id: int
@@ -154,11 +155,16 @@ class Isol:
     def __post_init__(self):
         for name in ("pixels", "edge_pixels"):
             given = getattr(self, name)
-            rows = sorted(set(map(tuple, given.tolist() if isinstance(given, np.ndarray) else given)))
-            # The cast below would truncate a float without a word.
-            for x, y in rows:
+            rows = list(map(tuple, given.tolist() if isinstance(given, np.ndarray) else given))
+            # Checked before sorting, which fails on mixed types with a bare
+            # TypeError; the cast below would truncate a float without a word.
+            for row in rows:
+                if len(row) != 2:
+                    raise ValueError(f"isol {self.id} pixel {row} is not an (x, y) pair")
+                x, y = row
                 if not isinstance(x, numbers.Integral) or not isinstance(y, numbers.Integral):
-                    raise ValueError(f"isol {self.id} pixel ({x}, {y}) has a non-integer coordinate")
+                    raise ValueError(f"isol {self.id} pixel ({x!r}, {y!r}) has a non-integer coordinate")
+            rows = sorted(set(rows))
             try:
                 array = np.array(rows, dtype=np.int64).reshape(len(rows), 2)
             except OverflowError:

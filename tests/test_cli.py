@@ -337,18 +337,53 @@ def test_bad_paths_exit_2(tmp_path, case):
     assert str(tmp_path) in result.stderr
 
 
-def test_run_leaves_no_output_when_cluster_pgm_fails(tmp_path, monkeypatch):
-    def refuse(raster):
-        raise ValueError("label 70000 too large for PGM")
+@pytest.mark.parametrize(
+    "formatter",
+    [
+        "raster_io.dump_pgm",
+        "hac.hierarchy_records",
+        "params.dump_params_csv",
+        "termination.dump_trace_csv",
+        "termination.dump_histogram_csv",
+        "links.dump_links_csv",
+    ],
+)
+def test_run_leaves_no_output_when_a_formatter_fails(tmp_path, monkeypatch, formatter):
+    # Every artifact is formatted before --out is made, so a failure in any
+    # of them (dump_pgm's is real: more than 65535 candidates) leaves none.
+    def refuse(*args):
+        raise ValueError(f"{formatter} refused")
 
-    monkeypatch.setattr(raster_io, "dump_pgm", refuse)
+    monkeypatch.setattr(f"crownmerge.{formatter}", refuse)
     out = tmp_path / "o"
     result = CliRunner().invoke(
-        main, ["run", "--input", str(write_quad(tmp_path)), "--out", str(out)]
+        main, ["run", "--input", str(write_quad(tmp_path)), "--out", str(out), "--dump-links"]
     )
     assert result.exit_code == 2
-    assert "too large for PGM" in result.stderr
+    assert f"{formatter} refused" in result.stderr
     assert not out.exists()
+
+
+def test_run_writes_into_an_existing_out(tmp_path):
+    # An existing --out is written into: every artifact replaces its
+    # namesake (a longer stale report.json here), and a file the run does
+    # not write stays as it was.
+    scene = write_quad(tmp_path)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    (out / "traces").mkdir(parents=True)
+    (out / "traces" / "notes.txt").write_text("kept\n")
+    (out / "report.json").write_text("stale\n" * 1000)
+    for target in (fresh, out):
+        run_pipeline(
+            PipelineConfig(input_path=scene, out_dir=target, min_group_size=2, dump_links=True)
+        )
+
+    def files(root: Path) -> dict[str, bytes]:
+        return {
+            p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()
+        }
+
+    assert files(out) == {**files(fresh), "traces/notes.txt": b"kept\n"}
 
 
 def test_run_command_rejects_bad_parameter(tmp_path):
@@ -447,3 +482,29 @@ def test_pipeline_recovers_planted_ring(tmp_path, seed, choice):
     assert result.candidates, "no candidates survived"
     best = result.hierarchy.node(result.candidates[0].node_id).members
     assert best == scene.truth_groups[0]
+
+
+def test_default_ring_scene_splits_the_ring_under_a_merge(tmp_path):
+    # The scene `crownmerge synth --kind ring` writes by default (3
+    # outliers on 128x128): a_merge cuts the ring into two halves of 4, so
+    # no group reaches the default --min-size 7 and the run has no
+    # candidate, while lw_over_acum keeps the ring whole and ranks it
+    # first.  This pins today's outcome; the README demo uses 4 outliers
+    # on 192x192, where both streams rank the ring first.
+    path = tmp_path / "scene.txt"
+
+    def run(**kwargs):
+        return run_pipeline(PipelineConfig(input_path=path, out_dir=tmp_path / "out", **kwargs))
+
+    for seed in range(20):
+        scene = generate_ring(seed)
+        ring = scene.truth_groups[0]
+        path.write_text(dump_text_grid(scene.raster))
+        assert run().candidates == [], seed
+        every = run(min_group_size=1)
+        terminals = [every.hierarchy.node(c.node_id).members for c in every.candidates]
+        assert sorted(map(len, terminals)) == [1, 2, 4, 4], seed
+        halves = [members for members in terminals if len(members) == 4]
+        assert halves[0] | halves[1] == ring, seed
+        lw = run(parameter="lw_over_acum")
+        assert lw.hierarchy.node(lw.candidates[0].node_id).members == ring, seed

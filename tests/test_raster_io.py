@@ -699,21 +699,32 @@ def test_isol_rejects_coordinates_past_int64(pairs, stray):
             Isol(2, frozenset(), collection(pairs))
 
 
+_NOT_INTEGER = "has a non-integer coordinate"
+_NOT_A_PAIR = "is not an (x, y) pair"
+
+
 @pytest.mark.parametrize(
-    "pairs, stray, array_stray",
+    "pairs, stray, array_stray, problem",
     [
-        ([(1.5, 2)], "(1.5, 2)", "(1.5, 2.0)"),
-        ([(0, 0), (1.9, 2.0)], "(1.9, 2.0)", "(0.0, 0.0)"),
-        ([(3, 4), (5, 2.0)], "(5, 2.0)", "(3.0, 4.0)"),
+        ([(1.5, 2)], "(1.5, 2)", "(1.5, 2.0)", _NOT_INTEGER),
+        ([(0, 0), (1.9, 2.0)], "(1.9, 2.0)", "(0.0, 0.0)", _NOT_INTEGER),
+        ([(3, 4), (5, 2.0)], "(5, 2.0)", "(3.0, 4.0)", _NOT_INTEGER),
+        ([(1, 2), ("a", 1)], "('a', 1)", "('1', '2')", _NOT_INTEGER),
+        ([(None, 1), (2, 3)], "(None, 1)", "(None, 1)", _NOT_INTEGER),
+        ([(1, 2, 3)], "(1, 2, 3)", "(1, 2, 3)", _NOT_A_PAIR),
+        ([(1,)], "(1,)", "(1,)", _NOT_A_PAIR),
     ],
-    ids=["x-half", "beside-an-integer-pixel", "whole-float"],
+    ids=["x-half", "beside-an-integer-pixel", "whole-float", "str-beside-an-integer-pixel",
+         "none", "triple", "single"],
 )
-def test_isol_rejects_non_integer_coordinates(pairs, stray, array_stray):
+def test_isol_rejects_non_integer_coordinates(pairs, stray, array_stray, problem):
     # A float coordinate, even a whole one, would be truncated where the
     # isol is cast to int64; it is refused whatever collection holds it.
-    # In a float array every coordinate is a float, so its first pixel is named.
+    # Rows are checked before they are sorted, so a row of mixed types or
+    # one that is not a pair is named as well.  In a float or str array
+    # every coordinate is a float or a str, so its first pixel is named.
     for collection, named in ((frozenset, stray), (list, stray), (np.array, array_stray)):
-        message = re.escape(f"isol 2 pixel {named} has a non-integer coordinate")
+        message = re.escape(f"isol 2 pixel {named} {problem}")
         with pytest.raises(ValueError, match=message):
             Isol(2, collection(pairs), frozenset())
         with pytest.raises(ValueError, match=message):
