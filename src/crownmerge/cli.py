@@ -151,6 +151,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         (isol_id,) = hierarchy.node(trace.start).members
         files[f"traces/{isol_id}.csv"] = _text(termination.dump_trace_csv, trace)
     files["histogram.csv"] = _text(termination.dump_histogram_csv, hierarchy, breaks)
+    # Painted last: painting the full-size canvas before the other
+    # artifacts raised the benchmark's sparse peak RSS by ~3.5 MB.
     groups = [
         (rank, sorted(hierarchy.node(c.node_id).members))
         for rank, c in enumerate(candidates, start=1)
