@@ -63,7 +63,7 @@ class _Analysis:
     hierarchy: hac.Hierarchy
     by_id: dict[int, raster_io.Isol]
     node_params: dict[int, params.NodeParams]
-    traces: list[termination.PathTrace]
+    stream: dict[int, float]
 
 
 def _load(
@@ -93,12 +93,11 @@ def _load(
 def _analyse(
     config: PipelineConfig, isols: list[raster_io.Isol], hierarchy: hac.Hierarchy
 ) -> _Analysis:
-    """Derive every merge's parameters, then trace every region's path."""
+    """Derive every merge's parameters and the configured parameter stream."""
     by_id = raster_io.by_id(isols)
     node_params = params.compute_params(hierarchy, by_id)
     stream = params.parameter_stream(hierarchy, node_params, config.parameter)
-    traces = termination.trace_all(hierarchy, stream)
-    return _Analysis(hierarchy, by_id, node_params, traces)
+    return _Analysis(hierarchy, by_id, node_params, stream)
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -125,7 +124,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     del store
     analysis = _analyse(config, isols, hierarchy)
     by_id = analysis.by_id
-    breaks = termination.count_breaks(hierarchy, analysis.traces, p=config.significance_p)
+    traces = termination.trace_all(hierarchy, analysis.stream)
+    breaks = termination.count_breaks(hierarchy, traces, p=config.significance_p)
     trimmed = termination.trim(hierarchy, breaks)
     terminals = termination.filter_terminals(trimmed, hierarchy, config.min_group_size)
     candidates = ranking.rank_candidates(hierarchy, by_id, terminals, key=config.score_key)
@@ -147,7 +147,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         {"schema": REPORT_SCHEMA, "nodes": hac.hierarchy_records(hierarchy)}
     )
     files["params.csv"] = _text(params.dump_params_csv, hierarchy, analysis.node_params)
-    for trace in analysis.traces:
+    for trace in traces:
         (isol_id,) = hierarchy.node(trace.start).members
         files[f"traces/{isol_id}.csv"] = _text(termination.dump_trace_csv, trace)
     files["histogram.csv"] = _text(termination.dump_histogram_csv, hierarchy, breaks)
@@ -266,7 +266,8 @@ def trace(isol_id, **options) -> None:
             raise ValueError(f"no region with id {isol_id}")
         analysis = _analyse(config, isols, hac.agglomerate(isols, store))
         start = analysis.hierarchy.singleton_node_id(isol_id)
-        termination.dump_trace_csv(analysis.traces[start], sys.stdout)
+        path = termination.trace_path(analysis.hierarchy, analysis.stream, start)
+        termination.dump_trace_csv(path, sys.stdout)
     except (OSError, ValueError) as exc:
         _fail(str(exc))
 

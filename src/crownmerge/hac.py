@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .links import DIRECTIONS, LinkStore
+from .links import _STEPS, LinkStore
 from .raster_io import Isol
 
 
@@ -186,9 +186,8 @@ def _pair_masks(store: LinkStore) -> dict[tuple[int, int], tuple[Mask, int, int]
     each temporary is freed after its last reader.  The masks are
     immutable, so readers may share them.
 
-    Raises ``ValueError`` if a link pixel, far end included, leaves the
-    non-negative int64 quadrant or a key overflows int64 (only a store
-    built by hand can): the flat indices would collide or wrap.
+    Raises ``ValueError`` if a key overflows int64, which only a store
+    built by hand can make: the keys would wrap.
     """
     pairs = store.pairs()
     if not pairs:
@@ -196,21 +195,11 @@ def _pair_masks(store: LinkStore) -> dict[tuple[int, int], tuple[Mask, int, int]
     n_pairs = len(pairs)
     counts = [rows.stop - rows.start for rows in store._rows.values()]
     _, _, direction, ox, oy, length = store._table.T
-    dx, dy = np.array([step for _, *step in DIRECTIONS])[direction].T
-    # Checked before any far end is computed, since that sum can wrap.
-    if (
-        min(ox.min(), oy.min()) < 0
-        or ((dx < 0) & (length > ox)).any()
-        or ((dy < 0) & (length > oy)).any()
-    ):
-        raise ValueError("link pixels must have non-negative coordinates")
-    top = np.iinfo(np.int64).max
-    if ((dx > 0) & (length > top - ox)).any() or ((dy > 0) & (length > top - oy)).any():
-        raise ValueError("link far ends must fit in int64")
+    dx, dy = _STEPS[direction].T
     far_x, far_y = ox + dx * length, oy + dy * length
     span = int(max(ox.max(), far_x.max())) + 1
     size = span * (int(max(oy.max(), far_y.max())) + 1)
-    if n_pairs * size > top:
+    if n_pairs * size >= 2**63:
         raise ValueError(f"{n_pairs} pairs of {size} pixels overflow int64 keys")
     del far_x, far_y
 
@@ -300,8 +289,8 @@ def agglomerate(isols: Sequence[Isol], store: LinkStore) -> Hierarchy:
     dropped on return, and the store is left as it was given.
 
     Raises ``ValueError`` if two isols share an id, the store links a
-    segment that is not among ``isols``, or a link pixel cannot be keyed
-    (see ``_pair_masks``).
+    segment that is not among ``isols``, or the keys of its masks
+    overflow int64 (see ``_pair_masks``).
     """
     ordered = sorted(isols, key=lambda isol: isol.id)
     singleton_ids = {isol.id: idx for idx, isol in enumerate(ordered)}

@@ -15,9 +15,10 @@ A ``LinkStore`` is that table, sorted by segment pair, and nothing else;
 distance between two segments is the number of distinct interstitial
 pixels covered by all their links together, so overlapping rays are only
 counted once.  Segment pairs with no links are infinitely far apart.
-``pair_union``, ``pair_distance`` and ``group_distance`` read those pixels
-straight from the rows, as Python ints, so they answer for any int64
-table; ``hac.agglomerate`` builds its own bit masks of them.
+Every segment id is positive and every pixel, far end included, lies in
+the non-negative int64 quadrant.  ``pair_union``, ``pair_distance`` and
+``group_distance`` read those pixels straight from the rows, as Python
+ints; ``hac.agglomerate`` builds its own bit masks of them.
 ``dump_links_csv`` writes the ray table as links.csv.
 """
 
@@ -47,6 +48,9 @@ DIRECTIONS: tuple[tuple[str, int, int], ...] = (
 _COLUMNS = ("origin_isol", "target_isol", "direction", "origin_x", "origin_y", "length")
 _DIRECTION = _COLUMNS.index("direction")
 
+#: ``(dx, dy)`` of each direction index.
+_STEPS = np.array([(dx, dy) for _, dx, dy in DIRECTIONS])
+
 #: Distance value for segment pairs without any connective link.
 NO_CONNECTION = math.inf
 
@@ -55,7 +59,9 @@ class LinkStore:
     """All links of a scene: one int64 ray table, grouped by unordered segment pair.
 
     ``LinkStore(table)`` takes ``(n, 6)`` rows in ``_COLUMNS`` order, with
-    ``direction`` as a ``DIRECTIONS`` index.  It keeps a read-only copy,
+    ``direction`` as a ``DIRECTIONS`` index, positive segment ids and every
+    pixel from origin to far end in the non-negative int64 quadrant, as
+    ``cast_rays`` finds them on a raster.  It keeps a read-only copy,
     stably sorted by pair so that each pair keeps its links in the order
     given, beside a pair -> row range index; ``links_between`` returns views
     of it.  Those two are all it holds, from construction on;
@@ -65,7 +71,9 @@ class LinkStore:
     def __init__(self, table: np.ndarray):
         """Raises ``ValueError`` for a table that is not 2-D int64 with
         ``len(_COLUMNS)`` columns, or for a row that joins a segment to
-        itself, has an unknown direction index or a negative length."""
+        itself, has a non-positive segment id, an unknown direction index,
+        a negative length or a pixel, origin or far end, outside the
+        non-negative int64 quadrant."""
         table = np.asarray(table)
         if table.ndim != 2 or table.shape[1] != len(_COLUMNS):
             raise ValueError(
@@ -77,11 +85,20 @@ class LinkStore:
         origin, target, direction, _, _, length = table.T
         if (origin == target).any():
             raise ValueError(f"link {origin[origin == target][0]} joins a segment to itself")
+        if (table[:, :2] < 1).any():
+            raise ValueError(f"link has non-positive segment id {table[:, :2].min()}")
         unknown = (direction < 0) | (direction >= len(DIRECTIONS))
         if unknown.any():
             raise ValueError(f"link has unknown direction index {direction[unknown][0]}")
         if (length < 0).any():
             raise ValueError(f"link has negative length {length[length < 0][0]}")
+        # Each coordinate runs from the origin's to the far end's, so both
+        # are checked; the far end is not computed, as that sum can wrap.
+        xy, reach = table[:, 3:5], length[:, None]
+        if (xy < 0).any() or ((_STEPS < 0)[direction] & (reach > xy)).any():
+            raise ValueError("link pixels must have non-negative coordinates")
+        if ((_STEPS > 0)[direction] & (xy > np.iinfo(np.int64).max - reach)).any():
+            raise ValueError("link far ends must fit in int64")
         lo, hi = np.minimum(origin, target), np.maximum(origin, target)
         order = np.lexsort((hi, lo))
         self._table, lo, hi = table[order], lo[order], hi[order]
@@ -105,7 +122,7 @@ class LinkStore:
         """Distinct interstitial pixels over the pair's links, in a new set the caller owns.
 
         Each row adds the ``length`` pixels after its origin in its
-        direction, as Python ints, so no coordinate wraps.
+        direction, as Python ints.
         """
         pixels: set[PixelCoord] = set()
         for _, _, d, x, y, length in self.links_between(a, b).tolist():
@@ -168,10 +185,7 @@ def cast_rays(
         return LinkStore(np.empty((0, len(_COLUMNS)), dtype=np.int64))
 
     ox, oy = np.concatenate([isol.edge_pixels for isol in isols]).T
-    # An id past int64 is no pixel's label, as 0 is: the check below then
-    # reports that isol's first edge pixel, under the isol's own id.
-    ids = [isol.id if -(2**63) <= isol.id < 2**63 else 0 for isol in isols]
-    own = np.repeat(np.array(ids, dtype=np.int64), counts)
+    own = np.repeat(np.array([isol.id for isol in isols], dtype=np.int64), counts)
     flat = raster.labels.ravel()
     nonzero = np.flatnonzero(flat)
     labelled = flat[nonzero]

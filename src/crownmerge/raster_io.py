@@ -145,7 +145,8 @@ class Isol:
     by ``(x, y)``, made anew from any collection of pairs given; a row
     that is not a pair, or a coordinate that is not an integer
     (``numbers.Integral``) or lies past int64, raises a ``ValueError``
-    naming the isol and pixel.
+    naming the isol and pixel.  ``id`` is a label, so an id that is not
+    an integer in 1..2**63-1 raises a ``ValueError`` naming it.
     """
 
     id: int
@@ -153,17 +154,25 @@ class Isol:
     edge_pixels: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.id, numbers.Integral) or not 1 <= self.id <= _MAX_LABEL:
+            raise ValueError(f"isol id {self.id!r} is not an integer in 1..{_MAX_LABEL}")
         for name in ("pixels", "edge_pixels"):
             given = getattr(self, name)
             rows = list(map(tuple, given.tolist() if isinstance(given, np.ndarray) else given))
             # Checked before sorting, which fails on mixed types with a bare
             # TypeError; the cast below would truncate a float without a word.
-            for row in rows:
-                if len(row) != 2:
-                    raise ValueError(f"isol {self.id} pixel {row} is not an (x, y) pair")
-                x, y = row
-                if not isinstance(x, numbers.Integral) or not isinstance(y, numbers.Integral):
-                    raise ValueError(f"isol {self.id} pixel ({x!r}, {y!r}) has a non-integer coordinate")
+            # Of several bad rows, the one whose repr sorts first is named,
+            # not the first in a set's order, which follows the string hash.
+            bad = [
+                row for row in rows
+                if len(row) != 2
+                or not isinstance(row[0], numbers.Integral)
+                or not isinstance(row[1], numbers.Integral)
+            ]
+            if bad:
+                row = min(bad, key=repr)
+                problem = "has a non-integer coordinate" if len(row) == 2 else "is not an (x, y) pair"
+                raise ValueError(f"isol {self.id} pixel {row} {problem}")
             rows = sorted(set(rows))
             try:
                 array = np.array(rows, dtype=np.int64).reshape(len(rows), 2)
@@ -244,7 +253,7 @@ def _text_words(texts: Iterable[bytes]) -> np.ndarray:
 
 
 _WORDS = _word_table()
-_NEWLINE_WORD, _MINUS_WORD, _PAD_WORD = _text_words([b"\n", b"-", b""])
+_NEWLINE_WORD, _PAD_WORD = _text_words([b"\n", b""])
 
 
 def sniff_format(head: bytes) -> str:
@@ -681,21 +690,20 @@ def dump_pgm(raster: LabeledRaster) -> bytes:
 def _format_rows(
     table: np.ndarray, separator: bytes, names: Mapping[int, Sequence[str]] | None = None
 ) -> Iterator[bytes]:
-    """Each row of the int64 ``table`` as its fields ``separator`` apart and
-    ending in LF, yielded a block at a time: the bytes of
-    ``separator.join(map(str, row))`` per row, and with ``b","`` those of
-    ``csv.writer(stream, lineterminator="\\n")``.  A column ``j`` in
-    ``names`` holds indices into ``names[j]``, names of one to four ASCII
-    characters, and is written as those names.  This one writer makes the
-    text grids, the PGM bodies and links.csv.
+    """Each row of the non-negative int64 ``table`` as its fields
+    ``separator`` apart and ending in LF, yielded a block at a time: the
+    bytes of ``separator.join(map(str, row))`` per row, and with ``b","``
+    those of ``csv.writer(stream, lineterminator="\\n")``.  A column ``j``
+    in ``names`` holds indices into ``names[j]``, names of one to four
+    ASCII characters, and is written as those names.  This one writer
+    makes the text grids, the PGM bodies and links.csv.
 
     Works in blocks of rows of about ``_BLOCK`` bytes of table.  A block
-    with no name column and no cell outside 0..9 is written as digit and
-    separator bytes.  Otherwise every number takes a sign word if the
-    block holds a negative value, then as many four-digit words from
-    ``_WORDS`` as the block's largest magnitude needs; a name takes its
-    word, and each separator and LF a word.  One ``bytes.translate`` per
-    block erases the pad bytes.
+    with no name column and no cell above 9 is written as digit and
+    separator bytes.  Otherwise every number takes as many four-digit
+    words from ``_WORDS`` as the block's largest value needs; a name
+    takes its word, and each separator and LF a word.  One
+    ``bytes.translate`` per block erases the pad bytes.
     """
     name_words = {
         j: _text_words(name.encode("ascii") for name in column)
@@ -705,9 +713,7 @@ def _format_rows(
     rows = max(1, _BLOCK // (8 * table.shape[1]))
     for top in range(0, len(table), rows):
         block = table[top : top + rows]
-        # Read as uint64, a negative value is above ``_MAX_LABEL``.
-        largest = block.view(np.uint64).max()
-        signed = bool(largest > _MAX_LABEL)
+        largest = block.max()
         if not name_words and largest < 10:
             out = np.empty((*block.shape, 2), dtype=np.uint8)
             out[..., 0] = block + ord("0")
@@ -715,14 +721,9 @@ def _format_rows(
             out[:, -1, 1] = ord("\n")
             yield out.tobytes()
             continue
-        # abs wraps -2**63 to itself, which reads 2**63 as uint64: the view
-        # holds |v| for every int64 v.
-        magnitude = np.abs(block).view(np.uint64) if signed else block
-        words = signed + _word_count(magnitude)
+        words = -(-len(str(largest)) // 4)
         out = np.empty((*block.shape, words + 1), dtype="<u4")
-        if signed:
-            out[..., 0] = np.where(block < 0, _MINUS_WORD, _PAD_WORD)
-        _fill_digits(out[..., signed:words], magnitude)
+        _fill_digits(out[..., :words], block)
         out[..., words] = separator_word
         out[:, -1, words] = _NEWLINE_WORD
         for j, column in name_words.items():
@@ -731,17 +732,11 @@ def _format_rows(
         yield out.tobytes().translate(None, _PAD)
 
 
-def _word_count(cells: np.ndarray) -> int:
-    """Four-digit words that the largest of the non-negative ``cells`` needs."""
-    return -(-len(str(cells.max())) // 4)
-
-
 def _fill_digits(out: np.ndarray, cells: np.ndarray) -> None:
-    """Write each non-negative int in ``cells`` (int64 or uint64) as its
-    ``str`` into ``out``, an array of ``_WORDS`` words with one more axis
-    than ``cells``, most significant word first along the last axis; the
-    words hold ``_PAD`` bytes where ``str`` has none, for the caller to
-    erase."""
+    """Write each non-negative int64 in ``cells`` as its ``str`` into
+    ``out``, an array of ``_WORDS`` words with one more axis than
+    ``cells``, most significant word first along the last axis; the words
+    hold ``_PAD`` bytes where ``str`` has none, for the caller to erase."""
     words = out.shape[-1]
     # From the units word up; a word with no digits above it drops its
     # leading zeros.

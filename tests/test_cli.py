@@ -415,6 +415,24 @@ def test_trace_command_unknown_segment(tmp_path):
     assert "no region with id 9" in result.stderr
 
 
+@pytest.mark.parametrize("choice", ["a_merge", "lw_over_acum"])
+def test_trace_command_prints_what_run_writes(tmp_path, choice):
+    # trace traces one region's path only; its bytes are still those of
+    # that region's traces/<id>.csv in a full run.
+    scene = generate_ring(0, outliers=4, size=192)
+    path = tmp_path / "scene.txt"
+    path.write_text(dump_text_grid(scene.raster))
+    run_pipeline(PipelineConfig(input_path=path, out_dir=tmp_path / "out", parameter=choice))
+    written = sorted((tmp_path / "out" / "traces").iterdir())
+    assert [p.name for p in written] == sorted(f"{i}.csv" for i in scene.raster.positive_ids())
+    runner = CliRunner()
+    for trace_file in written:
+        args = ["trace", "--input", str(path), "--param", choice, "--isol", trace_file.stem]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == trace_file.read_bytes(), trace_file.name
+
+
 @pytest.mark.parametrize("max_ray", ["0", "-5"])
 def test_trace_command_rejects_bad_max_ray(tmp_path, max_ray):
     path = write_quad(tmp_path)

@@ -211,8 +211,6 @@ def _isol(id_, *edge):
         ([[1, 0, 2]], _isol(1, (2**63 - 1, 0)), (2**63 - 1, 0)),  # int64 edges
         ([[1, 0, 2]], _isol(2, (2, 0), (0, -(2**63))), (0, -(2**63))),
         ([[1, 0, 2]], _isol(2, (5, 0), (2**62, 0)), (5, 0)),  # first stray
-        ([[1, 0, 2]], _isol(2**63, (0, 0)), (0, 0)),  # id past int64
-        ([[1, 0, 2]], _isol(-(2**63) - 1, (2, 0)), (2, 0)),
     ],
 )
 def test_cast_rays_rejects_stray_origins(rows, isol, stray):
@@ -227,10 +225,10 @@ def test_cast_rays_rejects_stray_origins(rows, isol, stray):
         cast_rays(raster, [isol])
 
 
-@pytest.mark.parametrize("isol_id", [2**63, -(2**63) - 1])
+@pytest.mark.parametrize("isol_id", [3, 2**63 - 1])
 def test_cast_rays_casts_nothing_from_isols_without_edge_pixels(isol_id):
-    # With no edge pixel there is no origin to check, whatever the id;
-    # the other segments' rays are cast as usual.
+    # With no edge pixel there is no origin to check, even for an id that
+    # labels no pixel; the other segments' rays are cast as usual.
     raster = LabeledRaster.from_array([[1, 0, 2]])
     isol = Isol(isol_id, frozenset({(0, 0)}), frozenset())
     assert cast_rays(raster, [isol]).pairs() == ()
@@ -286,11 +284,15 @@ def _assert_cast_rays_matches_walk(raster, max_ray, reverse):
     ],
 )
 def test_flat_pair_unions_reject_unkeyable_pixels(link, message):
-    # Pixels off the raster's quadrant would collide as flat indices, far
-    # ends past int64 would wrap, and too wide a bounding box would
-    # overflow the pair-major keys of agglomerate's masks, so it says so,
-    # again on a second call.  The distance readers work from the rows in
-    # Python ints and answer for any int64 table.
+    # Pixels off the quadrant would collide as flat indices and far ends
+    # past int64 would wrap: the store refuses both when it is built.  Too
+    # wide a bounding box overflows the pair-major keys of agglomerate's
+    # masks, which depends on the pair count, so agglomerate says so, again
+    # on a second call, while the distance readers still answer.
+    if message != "overflow int64":
+        with pytest.raises(ValueError, match=message):
+            LinkStore(link_table(link))
+        return
     store = LinkStore(link_table(link))
     isols = [Isol(i, [], []) for i in (1, 2, 3)]
     for _ in range(2):
@@ -432,6 +434,13 @@ def test_store_rejects_tables_of_other_shapes_or_dtypes(table, message):
         ((1, 2, 8, 0, 0, 1), "unknown direction index 8"),
         ((1, 2, -1, 0, 0, 1), "unknown direction index -1"),
         ((2, 1, 2, 0, 0, -4), "negative length -4"),
+        ((0, 2, 2, 0, 0, 1), "non-positive segment id 0"),
+        # Ids and origins that no raster has.
+        ((-5, -10000, 5, -3, -10001, 2), "non-positive segment id -10000"),
+        ((-10000, -5, 0, 7, 0, 0), "non-positive segment id -10000"),
+        ((3, -5, 1, -(2**63), 2**63 - 1, 12), "non-positive segment id -5"),
+        ((3, 5, 1, -(2**63), 2**63 - 1, 12), "link pixels must have non-negative coordinates"),
+        ((5, 3, 1, 2**63 - 12, 2**63 - 1, 12), "link far ends must fit in int64"),
     ],
 )
 def test_ray_table_checks(row, message):
@@ -441,28 +450,119 @@ def test_ray_table_checks(row, message):
         LinkStore(table)
 
 
-int64s = st.integers(-(2**63), 2**63 - 1)
+#: The largest int64, which is the largest label and coordinate.
+TOP = 2**63 - 1
+
+int64s = st.integers(-TOP - 1, TOP)
+
+#: Around the four-digit word edges, the int64 ends and their neighbours.
+word_edges = st.sampled_from(
+    [0, 1, 9, 10, 999, 1000, 9999, 10000, 10001, 99999999, 10**8, 10**12 + 39, 10**16,
+     10**18, TOP, -1, -9, -9999, -10000, -(10**16), -TOP, -TOP - 1]
+)
+
+#: Non-negative values: each negative one ``v`` becomes ``-(v + 1)``, so
+#: the word edges keep 0 and TOP.
+csv_values = (int64s | word_edges | st.integers(-(10**5), 10**5)).map(
+    lambda v: v if v >= 0 else -(v + 1)
+)
+
+
+def in_quadrant(row: tuple) -> tuple:
+    """``row`` with its length cut to the longest that keeps every pixel
+    of its ray in 0..TOP, for an origin there."""
+    origin, target, d, x, y, length = row
+    _, dx, dy = DIRECTIONS[d]
+    reach = min(v if step < 0 else TOP - v for v, step in ((x, dx), (y, dy)) if step)
+    return origin, target, d, x, y, min(length, reach)
+
+
+#: Rows the store accepts: distinct positive ids, every direction index,
+#: origins in the quadrant and lengths that keep each ray there, often
+#: reaching 0 or TOP.
+ray_rows = st.tuples(
+    csv_values.map(lambda v: max(v, 1)),
+    csv_values.map(lambda v: max(v, 1)),
+    st.integers(0, len(DIRECTIONS) - 1),
+    csv_values,
+    csv_values,
+    csv_values,
+).filter(lambda row: row[0] != row[1]).map(in_quadrant)
 
 
 @st.composite
 def hand_tables(draw) -> np.ndarray:
-    """Hand-built ray tables: a few int64 ids, so that pairs repeat in both
-    orientations, every direction and any length."""
-    ids = draw(st.lists(int64s, min_size=2, max_size=6, unique=True))
+    """Hand-built ray tables: a few positive int64 ids, so that pairs
+    repeat in both orientations, every direction, origins anywhere in the
+    quadrant and any length that keeps the ray there."""
+    ids = draw(st.lists(st.integers(1, TOP), min_size=2, max_size=6, unique=True))
     rows = draw(
         st.lists(
             st.tuples(
                 st.sampled_from(ids),
                 st.sampled_from(ids),
                 st.integers(0, len(DIRECTIONS) - 1),
-                int64s,
-                int64s,
-                st.integers(0, 2**63 - 1) | st.integers(0, 3),
-            ).filter(lambda row: row[0] != row[1]),
+                st.integers(0, TOP),
+                st.integers(0, TOP),
+                st.integers(0, TOP) | st.integers(0, 3),
+            ).filter(lambda row: row[0] != row[1]).map(in_quadrant),
             max_size=30,
         )
     )
     return np.array(rows, dtype=np.int64).reshape(-1, 6)
+
+
+def accepted(row) -> bool:
+    """Whether a ray-table row is one a raster can have: distinct positive
+    ids, a known direction, a length of at least 0, and the origin and
+    every pixel of ``ray_pixels`` in 0..TOP."""
+    origin, target, d, x, y, length = row
+    if origin == target or min(origin, target) < 1 or not 0 <= d < len(DIRECTIONS) or length < 0:
+        return False
+    if length > 64:
+        # Too many pixels to list, but each coordinate moves one way, so
+        # the far end, the pixel of the ray's last step, stands for them.
+        _, dx, dy = DIRECTIONS[d]
+        row = (origin, target, d, x + dx * (length - 1), y + dy * (length - 1), 1)
+    return all(0 <= v <= TOP for pixel in [(x, y), *ray_pixels(row)] for v in pixel)
+
+
+#: Any int64, with the values near each boundary the store checks drawn often.
+any_fields = int64s | word_edges | st.integers(-2, 12)
+
+#: Rows with any fields, accepted rows, and accepted rows one pixel longer,
+#: which reach one past 0 or TOP when the row reached it.
+any_rows = (
+    st.tuples(
+        any_fields, any_fields, st.integers(-1, 8) | int64s, any_fields, any_fields, any_fields
+    )
+    | ray_rows
+    | ray_rows.map(lambda row: (*row[:5], min(row[5] + 1, TOP)))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(any_rows, min_size=1, max_size=3))
+@example([(1, 2, 6, 5, 0, 5)])  # west to x = 0
+@example([(1, 2, 6, 5, 0, 6)])  # one past it
+@example([(TOP, 1, 2, TOP - 1, 0, 1)])  # east to x = TOP
+@example([(TOP, 1, 2, TOP - 1, 0, 2)])
+@example([(1, 2, 3, TOP, TOP, 0)])  # a touching link at the corner
+@example([(1, 2, 0, 3, 5, 5), (0, 2, 0, 3, 5, 5)])  # north to y = 0; id 0
+def test_store_accepts_exactly_the_rows_a_raster_can_have(rows):
+    table = np.array(rows, dtype=np.int64)
+    if all(map(accepted, rows)):
+        assert LinkStore(table).pairs() == tuple(sorted({(min(r[:2]), max(r[:2])) for r in rows}))
+    else:
+        with pytest.raises(ValueError):
+            LinkStore(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(label_rasters() | synth_rasters | mosaic_rasters, max_rays)
+def test_cast_tables_hold_only_rows_a_raster_can_have(raster, max_ray):
+    store = cast_rays(raster, extract_isols(raster), max_ray=max_ray)
+    assert all(map(accepted, store._table.tolist()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -517,41 +617,19 @@ def _dumped(store: LinkStore) -> bytes:
     return out.getvalue().encode("ascii")
 
 
-#: Around the four-digit word edges, the int64 ends and their neighbours.
-word_edges = st.sampled_from(
-    [0, 1, 9, 10, 999, 1000, 9999, 10000, 10001, 99999999, 10**8, 10**12 + 39, 10**16,
-     10**18, 2**63 - 1, -1, -9, -9999, -10000, -(10**16), -(2**63) + 1, -(2**63)]
+#: Ray tables the store accepts.
+ray_tables = st.lists(ray_rows, max_size=40).map(
+    lambda rows: np.array(rows, dtype=np.int64).reshape(-1, 6)
 )
-csv_values = int64s | word_edges | st.integers(-(10**5), 10**5)
-
-
-@st.composite
-def ray_tables(draw) -> np.ndarray:
-    """Ray tables of any int64 values the store accepts: distinct ends,
-    every direction index, non-negative lengths."""
-    rows = draw(
-        st.lists(
-            st.tuples(
-                csv_values,
-                csv_values,
-                st.integers(0, len(DIRECTIONS) - 1),
-                csv_values,
-                csv_values,
-                csv_values.map(lambda n: n if n >= 0 else -(n + 1)),
-            ).filter(lambda row: row[0] != row[1]),
-            max_size=40,
-        )
-    )
-    return np.array(rows, dtype=np.int64).reshape(-1, 6)
 
 
 @settings(max_examples=300, deadline=None)
-@given(ray_tables(), st.sampled_from([48, 96, 65536]))
+@given(ray_tables, st.sampled_from([48, 96, 65536]))
 @example(np.array([(1, 2, d, 0, 0, 0) for d in range(8)]), 65536)
-@example(np.array([(-(2**63), 2**63 - 1, 7, -(2**63), 2**63 - 1, 2**63 - 1)]), 48)
+@example(np.array([(1, TOP, 7, TOP, TOP, TOP), (TOP, 1, 3, 0, 0, TOP)]), 48)
 def test_dump_links_csv_matches_csv_writer(table, block):
     # Blocks of one and two rows make neighbouring rows differ in digit
-    # words and signs.
+    # words.
     store = LinkStore(table)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(raster_io, "_BLOCK", block)
@@ -561,21 +639,6 @@ def test_dump_links_csv_matches_csv_writer(table, block):
 def test_dump_links_csv_of_empty_store_is_its_header():
     header = b"origin_isol,target_isol,direction,origin_x,origin_y,length\n"
     assert _dumped(LinkStore(link_table())) == header
-
-
-def test_dump_links_csv_writes_negative_fields():
-    store = LinkStore(link_table(
-        (-5, -10000, "SW", -3, -10001, 2),
-        (-10000, -5, "N", 7, 0, 0),
-        (3, -5, "NE", -(2**63), 2**63 - 1, 12),
-    ))
-    assert _dumped(store) == (
-        b"origin_isol,target_isol,direction,origin_x,origin_y,length\n"
-        b"-5,-10000,SW,-3,-10001,2\n"
-        b"-10000,-5,N,7,0,0\n"
-        b"3,-5,NE,-9223372036854775808,9223372036854775807,12\n"
-    )
-    assert _dumped(store) == _csv_writer_bytes(store._table)
 
 
 def test_dump_links_csv_allocates_little_beside_its_output():

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import io
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -713,22 +718,58 @@ _NOT_A_PAIR = "is not an (x, y) pair"
         ([(None, 1), (2, 3)], "(None, 1)", "(None, 1)", _NOT_INTEGER),
         ([(1, 2, 3)], "(1, 2, 3)", "(1, 2, 3)", _NOT_A_PAIR),
         ([(1,)], "(1,)", "(1,)", _NOT_A_PAIR),
+        ([("c", 3), ("a", 1), ("b", 2)], "('a', 1)", "('a', '1')", _NOT_INTEGER),
     ],
     ids=["x-half", "beside-an-integer-pixel", "whole-float", "str-beside-an-integer-pixel",
-         "none", "triple", "single"],
+         "none", "triple", "single", "several-str-rows"],
 )
 def test_isol_rejects_non_integer_coordinates(pairs, stray, array_stray, problem):
     # A float coordinate, even a whole one, would be truncated where the
     # isol is cast to int64; it is refused whatever collection holds it.
     # Rows are checked before they are sorted, so a row of mixed types or
     # one that is not a pair is named as well.  In a float or str array
-    # every coordinate is a float or a str, so its first pixel is named.
+    # every coordinate is a float or a str.  Of several bad rows, the one
+    # whose repr sorts first is named, whatever order they come in.
     for collection, named in ((frozenset, stray), (list, stray), (np.array, array_stray)):
         message = re.escape(f"isol 2 pixel {named} {problem}")
         with pytest.raises(ValueError, match=message):
             Isol(2, collection(pairs), frozenset())
         with pytest.raises(ValueError, match=message):
             Isol(2, frozenset(), collection(pairs))
+
+
+def test_isol_names_the_same_bad_row_under_every_hash_seed():
+    # A frozenset of str rows iterates in an order that follows the string
+    # hash seed; the message must not.
+    code = textwrap.dedent("""
+        from crownmerge import Isol
+        try:
+            Isol(1, frozenset([("a", 1), ("b", 2), ("c", 3)]), [])
+        except ValueError as exc:
+            print(exc)
+    """)
+    path = [str(Path(raster_io.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": os.pathsep.join(path)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in range(4)
+    }
+    assert messages == {"isol 1 pixel ('a', 1) has a non-integer coordinate\n"}
+
+
+@pytest.mark.parametrize("isol_id", [2**63, -(2**63) - 1, 0, -1, 2.0, "1", None])
+def test_isol_rejects_ids_outside_the_labels(isol_id):
+    # An id is a label, an integer in 1..2**63-1, so every int64 array
+    # made from ids holds it as it is.
+    message = re.escape(f"isol id {isol_id!r} is not an integer in 1..{2**63 - 1}")
+    for pixels in (frozenset(), [(0, 0)]):
+        with pytest.raises(ValueError, match=message):
+            Isol(isol_id, pixels, pixels)
 
 
 # ---------------------------------------------------------------------------
